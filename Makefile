@@ -14,15 +14,15 @@ COVER_FLOOR ?= 80.0
 # ~1s; the ceiling leaves room for cold build caches).
 LINT_BUDGET ?= 60s
 
-.PHONY: verify build vet lint lint-baseline lint-self test race race-debug race-stress race-failover fuzz fuzz-smoke determinism scenarios scenarios-smoke fanout-smoke cover ci bench bench-paper
+.PHONY: verify build vet lint lint-baseline lint-self test race race-debug race-stress race-failover fuzz fuzz-smoke determinism scenarios scenarios-smoke fanout-smoke bench-smoke cover ci bench bench-paper
 
 ## verify: the tier-1 gate — vet, build, full test suite.
 verify: vet build test
 
 ## lint: fluentvet, the project's own ten-analyzer static-analysis suite
 ## (poolcheck, lockorder, ctxcheck, telcheck, atomiccheck, codeccheck,
-## handlercheck, fencecheck, leakcheck). Diff mode against the committed
-## lint_baseline.json: only findings absent from the baseline fail.
+## handlercheck, fencecheck, leakcheck, segcheck). Diff mode against the
+## committed lint_baseline.json: only findings absent from the baseline fail.
 ## Exits non-zero on any new unsuppressed fail-severity finding or when
 ## analysis exceeds LINT_BUDGET; suppressions (//lint:ignore) are
 ## reported in a summary table and fail when unused.
@@ -62,7 +62,7 @@ race:
 race-debug:
 	$(GO) test -race -tags fluentdebug ./internal/core/... ./internal/transport/...
 
-## race-stress: the striped-store, batched-apply-engine, and RO-snapshot
+## race-stress: the striped-store, apply-engine, and RO-snapshot
 ## stress tests, repeated under the race detector with the fluentdebug
 ## assertion layer (V_train monotonicity, SSP staleness bound) compiled
 ## in. These are the only paths where multiple goroutines touch shard
@@ -113,7 +113,7 @@ fuzz-smoke:
 ## determinism: the bit-identical replay properties, repeated under the
 ## race detector — the scenario simulator (same spec + seed ⇒ identical
 ## Result, whatever hazards fire) and the apply engine (same workload ⇒
-## identical parameters whatever ApplyWorkers is set to).
+## the arithmetic reference, bit for bit, at every ApplyWorkers pool size).
 determinism:
 	$(GO) test -race -count=5 -run 'TestScenarioDeterminism' ./internal/sim/
 	$(GO) test -race -count=5 -run 'TestApplyWorkersDeterminism' ./internal/core/
@@ -140,6 +140,12 @@ scenarios-smoke:
 fanout-smoke:
 	FLUENTPS_FANOUT_STRICT=1 $(GO) test -count=1 -run 'TestFanoutSmoke' ./internal/experiments/
 
+## bench-smoke: vet and short-test the bench/ module. It is its own Go
+## module, so the root `go build/test ./...` never descend into it — an
+## exported-API change in internal/core could break the benchmark unseen.
+bench-smoke:
+	cd bench && $(GO) vet ./... && $(GO) test -short ./...
+
 ## cover: statement coverage for the request-lifecycle packages, failing
 ## below COVER_FLOOR percent.
 cover:
@@ -158,10 +164,11 @@ cover:
 ## everything (plus a fluentdebug assertion pass), the determinism replay
 ## properties, the scenario-matrix smoke tier with its golden and
 ## dominance gates, a codec fuzz smoke, the adaptive-regret acceptance
-## gate, and the coverage floor.
+## gate, the bench/ module's own vet + short tests, and the coverage floor.
 ci: verify
 	$(MAKE) lint
 	$(MAKE) lint-self
+	$(MAKE) bench-smoke
 	$(GO) test -count=1 -run 'TestAdaptiveSweep' ./internal/experiments/
 	$(MAKE) scenarios-smoke
 	$(MAKE) fanout-smoke
@@ -179,9 +186,6 @@ ci: verify
 ## BENCH_telemetry.json isolates the telemetry overhead: the same
 ## push/pull step with a live registry vs the Nop sink vs no telemetry,
 ## plus the per-instrument costs (counter add, histogram observe).
-## BENCH_apply.json contrasts push-apply throughput with the serial apply
-## loop (ApplyWorkers=1) against the wave-batched engine (ApplyWorkers=4)
-## — the batched path must hold a ≥2x edge on large segments.
 ## BENCH_adaptive.json records the adaptive-vs-fixed regret sweep: for each
 ## heterogeneous trace, the timed regret and throughput of Adaptive against
 ## every fixed preset (BSP, ASP, SSP(s) swept) plus the hindsight-best ratio.
@@ -195,12 +199,10 @@ bench:
 		-benchmem -json ./internal/core/ ./internal/transport/ > BENCH_hotpath.json
 	$(GO) test -run '^$$' -bench 'PushPullHotPath|CounterInc|GaugeSet|HistogramObserve' \
 		-benchmem -json ./internal/core/ ./internal/telemetry/ > BENCH_telemetry.json
-	$(GO) test -run '^$$' -bench 'ApplyThroughput|AxpyBatch' -benchtime 2s \
-		-benchmem -json ./internal/core/ ./internal/mathx/ > BENCH_apply.json
 	$(GO) run ./cmd/fluentbench -adaptive > BENCH_adaptive.json
 	$(GO) run ./cmd/fluentbench -scenarios > BENCH_scenarios.json
 	$(GO) run ./cmd/fluentbench -fanout > BENCH_fanout.json
-	@sed -n 's/.*"Output":"\(.*\)".*/\1/p' BENCH_hotpath.json BENCH_telemetry.json BENCH_apply.json | tr -d '\n' | \
+	@sed -n 's/.*"Output":"\(.*\)".*/\1/p' BENCH_hotpath.json BENCH_telemetry.json | tr -d '\n' | \
 		sed 's/\\n/\n/g; s/\\t/\t/g' | grep 'allocs/op'
 
 ## bench-paper: every benchmark in the repo once over (smoke, not timing).

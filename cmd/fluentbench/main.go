@@ -29,7 +29,6 @@ func main() {
 		out     = flag.String("out", "", "also write each experiment's tables as CSV files into this directory")
 		seed    = flag.Int64("seed", 1, "experiment seed")
 		hotpath = flag.Bool("hotpath", false, "benchmark the push/pull hot path (ns, bytes, allocs per step) and exit")
-		apply   = flag.Bool("apply", false, "benchmark push-apply throughput, serial vs wave-batched engine, and exit")
 		adapt   = flag.Bool("adaptive", false, "run the adaptive-vs-fixed regret sweep over heterogeneous traces, emit JSON on stdout, and exit")
 		scen    = flag.Bool("scenarios", false, "run the scenario matrix (policy × topology × fault), emit the JSON scorecard on stdout, and exit")
 		fanout  = flag.Bool("fanout", false, "run the read-tier fan-out sweep (RO snapshots vs locked pulls at 1..64 readers), emit JSON on stdout, and exit")
@@ -39,13 +38,6 @@ func main() {
 	if *hotpath {
 		if err := runHotpath(context.Background()); err != nil {
 			fmt.Fprintf(os.Stderr, "fluentbench: hotpath: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *apply {
-		if err := runApply(); err != nil {
-			fmt.Fprintf(os.Stderr, "fluentbench: apply: %v\n", err)
 			os.Exit(1)
 		}
 		return

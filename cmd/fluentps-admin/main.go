@@ -19,7 +19,6 @@
 //	drain     drain server -rank: its keys stream to the remaining
 //	          servers, then the server is shut down
 //	promote   fail dead server -rank over to its replication backup
-//	rebalance legacy quiesced rebalance (pre-view clusters)
 //
 // Exit codes:
 //
@@ -75,13 +74,12 @@ func main() {
 	rank := flag.Int("rank", 0, "target server rank (view, stats source, set-cond, drain, promote)")
 	from := flag.Int("from", -1, "server rank to fetch the current view from (join/drain/promote); -1 picks the lowest reachable active rank ≠ -rank")
 	listen := flag.String("listen", "127.0.0.1:0", "admin listen address (servers dial back here)")
-	decommission := flag.String("decommission", "", "comma-separated server ranks to drain (legacy rebalance)")
 	debugAddrs := flag.String("debugAddrs", "", "comma-separated telemetry endpoints to scrape (stats); bypasses the in-band query")
 	flags.Register(flag.CommandLine)
 	flag.Parse()
 	cmd := flag.Arg(0)
 	if cmd == "" {
-		usage("usage: fluentps-admin [flags] view | stats | set-cond | join | drain | promote | rebalance")
+		usage("usage: fluentps-admin [flags] view | stats | set-cond | join | drain | promote")
 	}
 
 	if cmd == "stats" && *debugAddrs != "" {
@@ -210,43 +208,6 @@ func main() {
 		}
 		fmt.Printf("promotion complete: view epoch %d, server %d served by %s\n",
 			next.Epoch, *rank, next.ServerAddr(*rank))
-
-	case "rebalance":
-		sync, err := flags.SyncConfig(cluster.Workers())
-		if err != nil {
-			usage("%v", err)
-		}
-		work, err := flags.Workload()
-		if err != nil {
-			usage("%v", err)
-		}
-		layout, old, err := sync.Slicing(work.Model, len(cluster.ServerAddrs))
-		if err != nil {
-			fail("%v", err)
-		}
-		alive := make([]bool, len(cluster.ServerAddrs))
-		for i := range alive {
-			alive[i] = true
-		}
-		for _, tok := range strings.Split(*decommission, ",") {
-			if tok == "" {
-				continue
-			}
-			var r int
-			if _, err := fmt.Sscanf(tok, "%d", &r); err != nil || r < 0 || r >= len(alive) {
-				usage("invalid decommission rank %q", tok)
-			}
-			alive[r] = false
-		}
-		next, err := keyrange.Rebalance(old, layout, alive)
-		if err != nil {
-			fail("%v", err)
-		}
-		fmt.Printf("moving %d of %d keys…\n", keyrange.Moved(old, next), layout.NumKeys())
-		if err := core.Rebalance(ctx, ep, old, next); err != nil {
-			fail("%v", err)
-		}
-		fmt.Println("rebalance complete; restart workers with the new assignment")
 
 	default:
 		usage("unknown command %q", cmd)

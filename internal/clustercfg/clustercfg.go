@@ -146,7 +146,7 @@ func (f *Flags) Register(fs *flag.FlagSet) {
 	fs.DurationVar(&f.RetryBase, "retryBase", 0, "base retransmission backoff; 0 disables retries")
 	fs.DurationVar(&f.RetryMax, "retryMax", 2*time.Second, "retransmission backoff cap")
 	fs.IntVar(&f.DedupWindow, "dedupWindow", 0, "per-worker duplicate-request window on servers; 0 = default, negative disables")
-	fs.IntVar(&f.ApplyWorkers, "applyWorkers", 0, "server apply workers; 0 = GOMAXPROCS, 1 forces the serial apply loop")
+	fs.IntVar(&f.ApplyWorkers, "applyWorkers", 0, "server apply-engine pool size; 0 = GOMAXPROCS, 1 = pool of one (batches applied inline)")
 	fs.IntVar(&f.ApplyStripes, "applyStripes", 0, "shard lock stripes (rounded up to a power of two); 0 = 4×applyWorkers")
 	fs.Float64Var(&f.FlakyDrop, "flakyDrop", 0, "fault injection: probability a data-plane frame is dropped")
 	fs.Float64Var(&f.FlakyDup, "flakyDup", 0, "fault injection: probability a data-plane frame is duplicated")

@@ -9,9 +9,8 @@ import (
 // Server-side wiring of the runtime-adaptive sync controller
 // (syncmodel/adaptive.go). The apply loop owns the driver exactly like it
 // owns the controller: ObservePush feeds per-worker forecasts on the push
-// path, and a periodic tick in runSerial/runBatched calls reevaluate
-// between messages (batched: between waves), so model switches always see
-// a quiescent shard.
+// path, and a periodic tick in runBatched calls reevaluate between waves,
+// so model switches always see a quiescent shard.
 
 // adaptEvery resolves the re-evaluation period.
 func (s *Server) adaptEvery() time.Duration {

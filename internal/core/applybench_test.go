@@ -15,8 +15,8 @@ import (
 // flow through the server. The pusher does no gather/copy work — each
 // windowed message is pre-filled and only its Seq changes — so the
 // measured time is dominated by the server's apply stage. Sub-benchmarks
-// contrast ApplyWorkers=1 (the serial loop) with ApplyWorkers=4 (the
-// wave-batched engine); `make bench` records both in BENCH_apply.json.
+// contrast a pool of one (ApplyWorkers=1, batches applied inline) with a
+// pool of four.
 func benchApplyThroughput(b *testing.B, applyWorkers int) {
 	const (
 		numKeys = 32

@@ -11,44 +11,44 @@ import (
 	"github.com/fluentps/fluentps/internal/transport"
 )
 
-// The parallel apply engine (ApplyWorkers > 1). The serial apply loop
-// handles one message at a time: controller decision, gradient
-// application, acknowledgement, each fully ordered. The engine keeps the
-// ordered part — the synchronization controller, the dedup windows, and
-// the DPR buffer remain single-owner state touched only by the control
-// goroutine — and parallelizes the part that commutes: applying gradient
-// batches to independently locked shard stripes.
+// The apply engine: the only path a push or pull takes through a server.
+// The ordered part of Algorithm 1 — the synchronization controller, the
+// dedup windows, and the DPR buffer — is single-owner state touched only
+// by the control goroutine (Run's apply stage); the part that commutes,
+// applying gradient batches to independently locked shard stripes, is
+// fanned out to a pool of ApplyWorkers goroutines.
 //
 // Messages are drained from the receive queue in *waves*: as many
 // consecutive pushes and pulls as are already waiting (up to
 // maxWaveMsgs), stopping at the first message of any other type (a
-// barrier — set-cond, rebalance, migrate, stats, shutdown — which is
-// handled by the serial dispatcher against a quiescent shard). For each
-// staged message the control goroutine runs exactly the serial handler's
-// control logic in arrival order; what the serial handler would do to the
-// shard is instead accumulated into per-stripe batches, with gradients
-// for the same key coalesced into one fused mathx.AxpyBatch application.
+// barrier — set-cond, view, migrate, replicate, promote, stats, shutdown
+// — which Server.apply dispatches against a quiescent shard). For each
+// staged message the control goroutine runs the control logic in arrival
+// order (dedup → fence → controller → dedup-record); the gradient is not
+// applied but accumulated into per-stripe batches, with gradients for
+// the same key coalesced into one fused mathx.AxpyBatch application.
 // The wave then flushes: dirty stripes are dispatched to the worker pool
 // over a buffered task channel, the control goroutine blocks on the
 // completion channel until every stripe reports back (this is also the
 // quiescence barrier structural shard operations rely on), and only then
 // do the wave's deferred effects — push acks, pull responses, DPR
-// releases — go out, so every response still observes the parameters it
-// would have observed under some legal serial arrival order:
+// releases — go out, so every response observes the parameters it would
+// have observed under some legal one-at-a-time arrival order:
 //
 //   - A worker has at most one request outstanding, so deferring its
 //     response cannot reorder that worker's requests; per-peer FIFO (which
 //     the dedup windows rely on) is preserved.
 //   - Pull responses sent after the wave's applies may reflect *more*
 //     pushes than under the actual arrival interleaving — the same states
-//     the serial loop produces when those pushes happen to arrive first.
-//     (Algorithm 1's apply-before-answer, line 15 before lines 18–20, is
-//     kept: never fewer pushes.)
+//     a one-at-a-time server produces when those pushes happen to arrive
+//     first. (Algorithm 1's apply-before-answer, line 15 before lines
+//     18–20, is kept: never fewer pushes.)
 //
-// With one CPU the pool degenerates to one busy worker, but the wave
-// batching still pays: one segment read-modify-write, one map lookup, one
-// lock acquisition, and one stats snapshot per key per wave instead of
-// per push. True stripe parallelism stacks on top on multicore.
+// A pool of one (ApplyWorkers 1, or one CPU) spawns no goroutine: the
+// control goroutine applies every stripe batch inline. The wave batching
+// still pays — one segment read-modify-write, one map lookup, one lock
+// acquisition, and one stats snapshot per key per wave instead of per
+// push. True stripe parallelism stacks on top on multicore.
 
 // maxWaveMsgs caps how many pushes/pulls one wave stages before flushing,
 // bounding deferred-ack latency and the staging buffers.
@@ -115,11 +115,9 @@ type applyEngine struct {
 	wave  uint32
 }
 
-func (s *Server) newApplyEngine(workers int) *applyEngine {
+func (s *Server) newApplyEngine() *applyEngine {
 	n := s.shard.NumStripes()
-	if workers > n {
-		workers = n
-	}
+	workers := min(s.cfg.applyWorkers(), n)
 	e := &applyEngine{
 		s:       s,
 		workers: workers,
@@ -132,9 +130,12 @@ func (s *Server) newApplyEngine(workers int) *applyEngine {
 		stamp:   make([]uint32, s.cfg.Layout.NumKeys()),
 		wave:    1,
 	}
-	for i := 0; i < workers; i++ {
-		e.wg.Add(1)
-		go e.worker()
+	if workers > 1 {
+		// A pool of one applies inline (flush), so it needs no goroutine.
+		for i := 0; i < workers; i++ {
+			e.wg.Add(1)
+			go e.worker()
+		}
 	}
 	return e
 }
@@ -158,9 +159,12 @@ func (e *applyEngine) stop() {
 	e.wg.Wait()
 }
 
-// runBatched is Run's apply stage when ApplyWorkers > 1.
-func (s *Server) runBatched(queue chan queuedMsg, workers int) (shutdown bool, err error) {
-	e := s.newApplyEngine(workers)
+// runBatched is Run's apply stage: it drains the receive queue in waves
+// through the engine and hands barriers to Server.apply, plus the
+// periodic adaptive re-evaluation and replication tick.
+func (s *Server) runBatched(queue chan queuedMsg) (shutdown bool, err error) {
+	e := s.newApplyEngine()
+	s.eng = e
 	defer e.stop()
 	if s.metrics.on {
 		s.cfg.Telemetry.GaugeFunc("server.apply_stripe_queue_depth", func() int64 {
@@ -250,13 +254,19 @@ func (s *Server) runBatched(queue chan queuedMsg, workers int) (shutdown bool, e
 	}
 }
 
-// stagePush runs handlePush's control logic and stages the gradient
-// payload into per-stripe batches instead of applying it. Ownership of
-// msg passes to the engine (released at wave end).
+// stagePush runs a push's control logic (dedup → fence → ctrl.OnPush →
+// dedup-record) and stages the gradient payload into per-stripe batches;
+// flush applies them (Algorithm 1 line 15: w ← w + g/N) before any of the
+// wave's acks or released pulls go out. Ownership of msg passes to the
+// engine (released at wave end).
 func (e *applyEngine) stagePush(msg *transport.Message) error {
 	s := e.s
 	e.msgs = append(e.msgs, msg)
 	if _, dup := s.dedupLookup(msg.From, msg.Seq); dup {
+		// A retransmission (or a duplicated frame) of a push already
+		// consumed: re-ack so the retrying worker unblocks, but never
+		// re-apply the gradient — at-least-once delivery plus this window
+		// yields effectively-once application.
 		s.dedupHits++
 		s.metrics.dedupPushHits.Inc()
 		e.acts = append(e.acts, pendingAct{kind: actPushAck, to: msg.From, seq: msg.Seq})
@@ -264,7 +274,7 @@ func (e *applyEngine) stagePush(msg *transport.Message) error {
 	}
 	if s.staleFenced(msg) {
 		// Rejections need no wave barrier: the push was not applied.
-		return s.rejectStale(msg)
+		return s.rejectStale(msg.From, msg.Seq)
 	}
 	worker := int(msg.From.Rank)
 	progress := int(msg.Progress)
@@ -282,6 +292,8 @@ func (e *applyEngine) stagePush(msg *transport.Message) error {
 	} else {
 		s.metrics.pushesDropped.Inc()
 	}
+	// A dropped push is consumed too: its duplicate must not be offered
+	// to the controller a second time.
 	s.dedupRecord(msg.From, msg.Seq, dedupPushDone)
 	e.pairs = append(e.pairs, dedupPair{from: msg.From, seq: msg.Seq})
 	e.acts = append(e.acts, pendingAct{kind: actPushAck, to: msg.From, seq: msg.Seq})
@@ -326,25 +338,30 @@ func (e *applyEngine) stageGrad(k keyrange.Key, grad []float64) {
 	e.stamp[k] = e.wave
 }
 
-// stagePull runs handlePull's control logic; an immediate answer becomes
-// a deferred act so it observes the wave's applies. Ownership of msg
-// passes to the engine.
+// stagePull runs a pull's control logic (dedup → fence → ctrl.OnPull →
+// dedup-record); an immediate answer becomes a deferred act so it
+// observes the wave's applies. Ownership of msg passes to the engine.
 func (e *applyEngine) stagePull(msg *transport.Message) error {
 	s := e.s
 	e.msgs = append(e.msgs, msg)
 	if out, dup := s.dedupLookup(msg.From, msg.Seq); dup {
 		s.dedupHits++
 		s.metrics.dedupPullHits.Inc()
+		// A duplicate of a pull still buffered as a DPR is ignored: the
+		// original will be answered when a push releases it; registering
+		// the duplicate would answer the worker twice and corrupt the DPR
+		// accounting.
 		if out == dedupPullAnswered {
-			// Re-answer a retried pull whose response was lost. The keys
-			// alias msg, which stays alive until after the acts run.
+			// Re-answer a retried pull whose response was lost (pulls do
+			// not mutate, so current parameters are safe). The keys alias
+			// msg, which stays alive until after the acts run.
 			e.acts = append(e.acts, pendingAct{kind: actPullResp,
 				tok: pullToken{from: msg.From, seq: msg.Seq, keys: msg.Keys}})
 		}
 		return nil
 	}
 	if s.staleFenced(msg) {
-		return s.rejectStale(msg)
+		return s.rejectStale(msg.From, msg.Seq)
 	}
 	worker := int(msg.From.Rank)
 	progress := int(msg.Progress)
@@ -352,7 +369,9 @@ func (e *applyEngine) stagePull(msg *transport.Message) error {
 	keys := msg.Keys
 	if msg.ReceiverOwned() {
 		// A buffered DPR token outlives the wave that recycles this
-		// message — take a copy (same rule as the serial path).
+		// message — take a copy. (Sender-owned messages are safe to
+		// alias: the worker holds them until its pull completes, which is
+		// after any DPR release.)
 		keys = append([]keyrange.Key(nil), keys...)
 	}
 	tok := pullToken{from: msg.From, seq: msg.Seq, keys: keys}
@@ -367,7 +386,7 @@ func (e *applyEngine) stagePull(msg *transport.Message) error {
 	}
 	s.dedupRecord(msg.From, msg.Seq, dedupPullPending)
 	s.metrics.dprBuffered.Inc()
-	return nil
+	return nil // buffered as a DPR; answered by a later push
 }
 
 // flush applies the wave's dirty stripes, then executes the deferred

@@ -10,10 +10,10 @@ import (
 	"github.com/fluentps/fluentps/internal/transport"
 )
 
-// Tests for the wave-batched parallel apply engine (applyengine.go).
-// Serial-path behaviour is covered by the rest of the package; everything
-// here forces ApplyWorkers > 1 so the engine runs even though the test
-// host may have GOMAXPROCS=1.
+// Tests for the wave-batched apply engine (applyengine.go). The rest of
+// the package runs it at whatever pool size GOMAXPROCS resolves to;
+// everything here pins ApplyWorkers > 1 so the worker pool runs even
+// when the test host has GOMAXPROCS=1.
 
 // batchedServer is testServer with explicit apply-engine knobs and a
 // configurable layout.
@@ -50,20 +50,20 @@ func batchedServer(t *testing.T, model syncmodel.Model, workers, applyWorkers, a
 func TestApplyConfigResolution(t *testing.T) {
 	cases := []struct {
 		cfg         ServerConfig
-		wantWorkers bool // > 1 selects the engine
-		wantStripes int  // 0 = don't check
+		wantWorkers int // resolved pool size
+		wantStripes int
 	}{
-		{ServerConfig{ApplyWorkers: 1}, false, 1},
-		{ServerConfig{ApplyWorkers: -3}, false, 1},
-		{ServerConfig{ApplyWorkers: 4}, true, 16},
-		{ServerConfig{ApplyWorkers: 4, ApplyStripes: 2}, true, 2},
-		{ServerConfig{ApplyWorkers: 1, ApplyStripes: 8}, false, 8},
+		{ServerConfig{ApplyWorkers: 1}, 1, 1},
+		{ServerConfig{ApplyWorkers: -3}, 1, 1},
+		{ServerConfig{ApplyWorkers: 4}, 4, 16},
+		{ServerConfig{ApplyWorkers: 4, ApplyStripes: 2}, 4, 2},
+		{ServerConfig{ApplyWorkers: 1, ApplyStripes: 8}, 1, 8},
 	}
 	for i, c := range cases {
-		if got := c.cfg.applyWorkers() > 1; got != c.wantWorkers {
-			t.Errorf("case %d: applyWorkers()=%d, engine=%v, want %v", i, c.cfg.applyWorkers(), got, c.wantWorkers)
+		if got := c.cfg.applyWorkers(); got != c.wantWorkers {
+			t.Errorf("case %d: applyWorkers()=%d, want %d", i, got, c.wantWorkers)
 		}
-		if c.wantStripes != 0 && c.cfg.applyStripes() != c.wantStripes {
+		if c.cfg.applyStripes() != c.wantStripes {
 			t.Errorf("case %d: applyStripes()=%d, want %d", i, c.cfg.applyStripes(), c.wantStripes)
 		}
 	}

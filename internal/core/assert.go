@@ -23,7 +23,7 @@ func assertf(cond bool, format string, args ...any) {
 
 // assertVTrainMonotonic checks that the shard's overall training progress
 // never goes backwards: V_train is a count of fully closed rounds, and
-// every code path (pushes, SetCond model swaps, rebalances) may only grow
+// every code path (pushes, SetCond model swaps, view changes) may only grow
 // it.
 func (s *Server) assertVTrainMonotonic() {
 	v := s.ctrl.VTrain()

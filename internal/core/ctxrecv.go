@@ -10,7 +10,7 @@ import (
 //
 // transport.Endpoint.Recv is the blocking primitive and cannot carry a
 // context without breaking every implementation, so control-plane APIs
-// (Register, QueryStats, Rebalance, SetCondition, the scheduler loop)
+// (Register, QueryStats, DistributeView, SetCondition, the scheduler loop)
 // wrap it here: the Recv runs in its own goroutine and the caller waits
 // on whichever of {response, ctx.Done()} fires first. On cancellation
 // the in-flight Recv keeps running until the endpoint delivers or

@@ -11,15 +11,17 @@ import (
 
 // The determinism property the harness gates on: the same workload and
 // seed must produce bit-identical parameters regardless of the apply
-// stage's parallelism. Gradients are integer-valued and the 1/N scale is
-// a power of two, so exact float arithmetic makes the sum
-// order-independent — any difference between ApplyWorkers settings is a
+// stage's parallelism. Gradients are integer multiples of N and the 1/N
+// scale is a power of two, so exact float arithmetic makes the sum
+// order-independent and the reference is plain arithmetic, w0 + Σ
+// deltas/N — any difference from it at any ApplyWorkers setting is a
 // lost, duplicated, or torn update, never "just float noise". The
 // Makefile runs this under -race -count=5.
 
 // applyWorkload runs a fixed seeded push schedule against a fresh server
-// with the given apply parallelism and returns the final parameters.
-func applyWorkload(t *testing.T, applyWorkers int) []float64 {
+// (w0 = 0) with the given apply parallelism and returns the final
+// parameters beside the arithmetic reference.
+func applyWorkload(t *testing.T, applyWorkers int) (got, want []float64) {
 	t.Helper()
 	const (
 		nWorkers = 4
@@ -31,6 +33,7 @@ func applyWorkload(t *testing.T, applyWorkers int) []float64 {
 	// All deltas come from one seeded stream, drawn up front so the
 	// generation order cannot depend on goroutine scheduling.
 	rng := rand.New(rand.NewSource(41))
+	want = make([]float64, layout.TotalDim())
 	deltas := make([][][]float64, nWorkers)
 	for rank := range deltas {
 		deltas[rank] = make([][]float64, rounds)
@@ -38,6 +41,7 @@ func applyWorkload(t *testing.T, applyWorkers int) []float64 {
 			d := make([]float64, layout.TotalDim())
 			for i := range d {
 				d[i] = float64(nWorkers * (rng.Intn(17) - 8)) // ÷N stays integral
+				want[i] += d[i] / nWorkers
 			}
 			deltas[rank][r] = d
 		}
@@ -75,23 +79,23 @@ func applyWorkload(t *testing.T, applyWorkers int) []float64 {
 	if err := pullers[0].SPull(tctx, rounds, params); err != nil {
 		t.Fatal(err)
 	}
-	return params
+	return params, want
 }
 
-// TestApplyWorkersDeterminism: serial loop, the engine at 4 workers, and
-// the engine at 2 workers with a different stripe interleaving must all
-// land on bit-identical parameters for the same seeded workload.
+// TestApplyWorkersDeterminism: a pool of one, the engine at 2 workers,
+// and the engine at 4 workers with a different stripe interleaving must
+// all land bit-for-bit on the arithmetic reference for the same seeded
+// workload.
 func TestApplyWorkersDeterminism(t *testing.T) {
-	serial := applyWorkload(t, 1)
-	for _, workers := range []int{2, 4} {
-		got := applyWorkload(t, workers)
-		if len(got) != len(serial) {
-			t.Fatalf("ApplyWorkers=%d: %d params, want %d", workers, len(got), len(serial))
+	for _, workers := range []int{1, 2, 4} {
+		got, want := applyWorkload(t, workers)
+		if len(got) != len(want) {
+			t.Fatalf("ApplyWorkers=%d: %d params, want %d", workers, len(got), len(want))
 		}
 		for i := range got {
-			if got[i] != serial[i] {
-				t.Fatalf("ApplyWorkers=%d: param[%d] = %v, serial = %v — apply order leaked into the result",
-					workers, i, got[i], serial[i])
+			if got[i] != want[i] {
+				t.Fatalf("ApplyWorkers=%d: param[%d] = %v, want %v — apply order leaked into the result",
+					workers, i, got[i], want[i])
 			}
 		}
 	}

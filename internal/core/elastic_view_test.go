@@ -29,6 +29,18 @@ type elasticHarness struct {
 	workers int
 	iters   int
 	before  int
+	// applyWorkers is every server's apply-pool size (forEachPool).
+	applyWorkers int
+}
+
+// forEachPool runs body as subtests at both apply-pool shapes: a pool of
+// one (no pool goroutine, one stripe, batches applied inline) and a pool
+// of four — so parked-request replay and replication are proven through
+// the engine whatever GOMAXPROCS the host resolves to.
+func forEachPool(t *testing.T, body func(t *testing.T, applyWorkers int)) {
+	for _, n := range []int{1, 4} {
+		t.Run(fmt.Sprintf("applyWorkers=%d", n), func(t *testing.T) { body(t, n) })
+	}
 }
 
 func (h *elasticHarness) startServer(rank, numWorkers int, view *clusterview.View) {
@@ -36,7 +48,7 @@ func (h *elasticHarness) startServer(rank, numWorkers int, view *clusterview.Vie
 	srv, err := NewServer(h.net.Endpoint(transport.Server(rank)), ServerConfig{
 		Rank: rank, NumWorkers: numWorkers, Layout: h.layout,
 		Model: syncmodel.SSP(2), Drain: syncmodel.Lazy,
-		Seed: int64(rank), View: view,
+		Seed: int64(rank), View: view, ApplyWorkers: h.applyWorkers,
 	})
 	if err != nil {
 		h.t.Fatal(err)
@@ -131,7 +143,9 @@ func (h *elasticHarness) shutdown(ranks ...int) {
 // training never stops — proven by the workers completing, the exact-sum
 // audit, and the joiner answering with a live V_train clock (adopted from
 // its donors) rather than a blank one.
-func TestLiveJoinServesDuringTransfer(t *testing.T) {
+func TestLiveJoinServesDuringTransfer(t *testing.T) { forEachPool(t, runLiveJoin) }
+
+func runLiveJoin(t *testing.T, applyWorkers int) {
 	const (
 		workers = 2
 		iters   = 60
@@ -144,7 +158,7 @@ func TestLiveJoinServesDuringTransfer(t *testing.T) {
 	h := &elasticHarness{
 		t: t, net: transport.NewChanNetwork(4096), layout: layout,
 		srvErrs: make(map[int]chan error), workers: workers, iters: iters,
-		before: runtime.NumGoroutine(),
+		before: runtime.NumGoroutine(), applyWorkers: applyWorkers,
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
@@ -230,7 +244,9 @@ func TestLiveJoinServesDuringTransfer(t *testing.T) {
 // workers train: its keys stream to the survivors through the same
 // checkpoint format, the drained rank keeps fencing stale traffic until
 // the cluster quiesces, and no update is lost or double-applied.
-func TestDrainMovesKeysWithoutStopping(t *testing.T) {
+func TestDrainMovesKeysWithoutStopping(t *testing.T) { forEachPool(t, runDrain) }
+
+func runDrain(t *testing.T, applyWorkers int) {
 	const (
 		workers = 2
 		iters   = 60
@@ -243,7 +259,7 @@ func TestDrainMovesKeysWithoutStopping(t *testing.T) {
 	h := &elasticHarness{
 		t: t, net: transport.NewChanNetwork(4096), layout: layout,
 		srvErrs: make(map[int]chan error), workers: workers, iters: iters,
-		before: runtime.NumGoroutine(),
+		before: runtime.NumGoroutine(), applyWorkers: applyWorkers,
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()

@@ -52,13 +52,18 @@ func (b *blackhole) Unwrap() transport.Endpoint        { return b.inner }
 //     (the promoted shard restored a consistent clock, not a fresh one);
 //   - dedup hits and retries are non-zero (the fault schedule and the
 //     dead window actually exercised the retry/dedup machinery).
+//
+// Each kill runs at both apply-pool sizes: a pool of one replicates
+// waves-of-one applied inline, a pool of four coalesced waves.
 func TestFailoverKillServer(t *testing.T) {
 	for _, dead := range []int{0, 1} {
-		t.Run(fmt.Sprintf("kill-rank-%d", dead), func(t *testing.T) { runFailover(t, dead) })
+		t.Run(fmt.Sprintf("kill-rank-%d", dead), func(t *testing.T) {
+			forEachPool(t, func(t *testing.T, applyWorkers int) { runFailover(t, dead, applyWorkers) })
+		})
 	}
 }
 
-func runFailover(t *testing.T, dead int) {
+func runFailover(t *testing.T, dead, applyWorkers int) {
 	const (
 		servers = 2
 		workers = 2
@@ -100,6 +105,8 @@ func runFailover(t *testing.T, dead int) {
 			Drain:      syncmodel.Lazy,
 			Seed:       int64(m),
 			View:       view,
+			// The promoted sub-server inherits the pool size with the config.
+			ApplyWorkers: applyWorkers,
 			OpenEndpoint: func(id transport.NodeID) (transport.Endpoint, error) {
 				return net.Endpoint(id), nil
 			},

@@ -7,7 +7,6 @@ import (
 	"github.com/fluentps/fluentps/internal/clusterview"
 	"github.com/fluentps/fluentps/internal/keyrange"
 	"github.com/fluentps/fluentps/internal/kvstore"
-	"github.com/fluentps/fluentps/internal/mathx"
 	"github.com/fluentps/fluentps/internal/syncmodel"
 	"github.com/fluentps/fluentps/internal/transport"
 	"github.com/fluentps/fluentps/internal/wire"
@@ -18,10 +17,9 @@ import (
 // A primary with a backup (view.Replicas >= 2) forwards every applied
 // wave of gradient work to its backup before acknowledging the pushes the
 // wave consumed: the worker-visible contract becomes "acked ⇒ replicated".
-// A wave carries the post-coalescing deltas of the apply engine (or a
-// wave-of-one from the serial path), the sync-controller image (V_train,
-// per-round counts, per-worker progress), and the (worker, seq) dedup
-// pairs the wave consumed. The backup folds deltas into a passive replica
+// A wave carries the post-coalescing deltas of the apply engine, the
+// sync-controller image (V_train, per-round counts, per-worker progress),
+// and the (worker, seq) dedup pairs the wave consumed. The backup folds deltas into a passive replica
 // shard and mirrors the dedup memory, so a promotion resumes with the
 // exact V_train-consistent state plus enough retry memory that in-flight
 // pushes replay idempotently.
@@ -128,26 +126,6 @@ func (s *Server) ackOrPark(to transport.NodeID, seq uint64) error {
 		return nil
 	}
 	return s.ack(transport.MsgPushAck, to, seq)
-}
-
-// replicatePush forwards one serial-path push as a wave of one. Dropped
-// pushes (drop-stragglers models) still replicate: the controller state
-// advanced and the dedup pair must reach the backup even when no delta
-// applied.
-func (s *Server) replicatePush(msg *transport.Message, applied bool) error {
-	w := s.newWave(false)
-	w.pairs = []dedupPair{{from: msg.From, seq: msg.Seq}}
-	if applied {
-		w.keys = append([]keyrange.Key(nil), msg.Keys...)
-		w.perKey = make([]uint64, len(msg.Keys))
-		for i := range w.perKey {
-			w.perKey[i] = 1
-		}
-		scale := 1 / float64(s.cfg.NumWorkers)
-		w.vals = make([]float64, len(msg.Vals))
-		mathx.Axpy(scale, msg.Vals, w.vals)
-	}
-	return s.sendWave(w, []ackRef{{to: msg.From, seq: msg.Seq}})
 }
 
 // sendWave sends a delta wave, parking acks until it is acknowledged.

@@ -13,7 +13,7 @@ import (
 // from the shard's published epoch snapshots (kvstore/snapshot.go),
 // never touching a stripe lock, the controller, or the dedup windows.
 //
-// Three paths serve RO pulls, sharing handlePullRO:
+// Three paths serve RO pulls, sharing servePullRO:
 //
 //   - The receive goroutine intercepts MsgPullRO arriving on the
 //     server's own endpoint and submits it to the reader pool. A full
@@ -87,7 +87,7 @@ func (s *Server) roWorker() {
 	for {
 		select {
 		case req := <-s.roQueue:
-			_ = s.handlePullRO(req.msg, req.reply)
+			_ = s.servePullRO(req.msg, req.reply)
 			transport.ReleaseReceived(req.msg)
 		case <-s.roStop:
 			return
@@ -95,10 +95,10 @@ func (s *Server) roWorker() {
 	}
 }
 
-// handlePullRO answers one read-only pull from the current snapshot.
+// servePullRO answers one read-only pull from the current snapshot.
 // Safe from any goroutine: it touches only the atomic snapshot pointer,
 // immutable snapshot data, and nil-safe metrics.
-func (s *Server) handlePullRO(msg *transport.Message, reply roSender) error {
+func (s *Server) servePullRO(msg *transport.Message, reply roSender) error {
 	snap := s.shard.ROSnapshot()
 	// For RO messages View is a snapshot-epoch stamp, not a cluster-view
 	// epoch: the client's minimum acceptable epoch (its monotone-reads
@@ -176,7 +176,7 @@ func (s *Server) HandleRO(conn ROConn) error {
 			s.submitRO(msg, conn)
 			continue
 		}
-		err = s.handlePullRO(msg, conn)
+		err = s.servePullRO(msg, conn)
 		transport.ReleaseReceived(msg)
 		if err != nil {
 			return err

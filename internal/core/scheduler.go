@@ -140,6 +140,35 @@ func (s *Scheduler) handleRegister(msg *transport.Message) error {
 	return nil
 }
 
+// encodeAssignment packs an assignment as [numServers, serverOf...] — the
+// legacy bare-assignment registration payload.
+func encodeAssignment(a *keyrange.Assignment) []float64 {
+	out := make([]float64, 1+a.NumKeys())
+	out[0] = float64(a.NumServers())
+	for k := 0; k < a.NumKeys(); k++ {
+		out[1+k] = float64(a.ServerOf(keyrange.Key(k)))
+	}
+	return out
+}
+
+// decodeAssignment unpacks encodeAssignment's payload for a known layout.
+func decodeAssignment(layout *keyrange.Layout, vals []float64) (*keyrange.Assignment, error) {
+	if len(vals) != 1+layout.NumKeys() {
+		return nil, fmt.Errorf("core: assignment payload has %d values, want %d",
+			len(vals), 1+layout.NumKeys())
+	}
+	servers := int(vals[0])
+	serverOf := make([]int, layout.NumKeys())
+	for k := range serverOf {
+		s := int(vals[1+k])
+		if s < 0 || s >= servers {
+			return nil, fmt.Errorf("core: key %d assigned to invalid server %d of %d", k, s, servers)
+		}
+		serverOf[k] = s
+	}
+	return keyrange.FromServerOf(serverOf, servers), nil
+}
+
 // RegisterAndFetch registers the node, blocks until the cluster
 // assembles, and returns the canonical key assignment the scheduler
 // distributes (nil if the scheduler was not given one). layout must be

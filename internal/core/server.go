@@ -64,19 +64,18 @@ type ServerConfig struct {
 	// and its apply stage (Run decodes and applies concurrently); zero
 	// selects DefaultApplyQueueDepth.
 	ApplyQueueDepth int
-	// ApplyWorkers sets the apply-stage parallelism. 1 (or negative)
-	// keeps the serial apply loop: one goroutine owns controller and
-	// shard, messages are handled one at a time. Values above 1 enable
-	// the wave-batched apply engine (applyengine.go): queued pushes and
-	// pulls are drained in waves, same-key gradients coalesce into fused
-	// batches, and per-stripe batches are applied by this many pool
-	// goroutines. Zero derives the count from GOMAXPROCS. The count is
-	// capped at the stripe count.
+	// ApplyWorkers sizes the pool of the wave-batched apply engine
+	// (applyengine.go): queued pushes and pulls are drained in waves,
+	// same-key gradients coalesce into fused batches, and per-stripe
+	// batches are applied by this many pool goroutines. 1 (or negative)
+	// is a pool of one: no goroutine is spawned and the control goroutine
+	// applies every batch inline. Zero derives the count from GOMAXPROCS.
+	// The count is capped at the stripe count.
 	ApplyWorkers int
 	// ApplyStripes sets how many independently locked stripes the shard
 	// is divided into (rounded up to a power of two, clamped to
 	// [1, kvstore.MaxStripes]). Zero derives it from the resolved worker
-	// count: 1 stripe for a serial server, 4× the workers otherwise (so
+	// count: 1 stripe for a pool of one, 4× the workers otherwise (so
 	// stripe collisions between concurrently applied batches stay rare).
 	ApplyStripes int
 	// Telemetry, when non-nil, receives the server's runtime metrics
@@ -130,7 +129,7 @@ const DefaultAdaptEvery = 250 * time.Millisecond
 const DefaultApplyQueueDepth = 64
 
 // applyWorkers resolves ServerConfig.ApplyWorkers: zero means
-// GOMAXPROCS, anything below one means serial.
+// GOMAXPROCS, anything below one means a pool of one.
 func (cfg *ServerConfig) applyWorkers() int {
 	w := cfg.ApplyWorkers
 	if w == 0 {
@@ -144,7 +143,7 @@ func (cfg *ServerConfig) applyWorkers() int {
 
 // applyStripes resolves ServerConfig.ApplyStripes: an explicit count is
 // passed through (kvstore normalizes it); zero derives from the worker
-// count — one stripe for a serial server, 4× workers for the engine.
+// count — one stripe for a pool of one, 4× workers otherwise.
 func (cfg *ServerConfig) applyStripes() int {
 	if cfg.ApplyStripes > 0 {
 		return cfg.ApplyStripes
@@ -185,6 +184,10 @@ type Server struct {
 	dedup     map[transport.NodeID]*dedupWindow
 	dedupHits int
 
+	// eng is the apply engine every push and pull goes through; built by
+	// Run and owned by the apply goroutine (applyengine.go).
+	eng *applyEngine
+
 	// adapt drives the runtime-adaptive sync controller when the shard
 	// runs a KindAdaptive model; nil otherwise. Touched only by the apply
 	// goroutine (adaptive.go).
@@ -194,9 +197,6 @@ type Server struct {
 	started time.Time
 	// switches counts sync-model kind changes (admin- or adaptive-driven).
 	switches int
-
-	// reb tracks an in-progress elastic rebalance (rebalance.go).
-	reb *rebalanceState
 
 	// views tracks the installed cluster view; epoch caches its stamp for
 	// the request fence. Both are owned by the apply goroutine (epoch is
@@ -466,9 +466,9 @@ func (s *Server) snapshotStats() {
 // of messages overlaps with shard/controller work instead of serializing
 // behind it. The apply stage remains the single owner of controller and
 // dedup state, preserving the per-peer FIFO the dedup windows rely on;
-// with ApplyWorkers > 1 it additionally fans gradient batches out to a
-// pool over the striped shard (see applyengine.go), staying sole owner
-// of everything else.
+// with ApplyWorkers > 1 it fans gradient batches out to a pool over the
+// striped shard (see applyengine.go), staying sole owner of everything
+// else.
 func (s *Server) Run() error {
 	depth := s.cfg.ApplyQueueDepth
 	if depth <= 0 {
@@ -537,15 +537,7 @@ func (s *Server) Run() error {
 	if err := s.replTick(); err != nil {
 		return err
 	}
-	var (
-		shutdown bool
-		err      error
-	)
-	if workers := s.cfg.applyWorkers(); workers > 1 {
-		shutdown, err = s.runBatched(queue, workers)
-	} else {
-		shutdown, err = s.runSerial(queue)
-	}
+	shutdown, err := s.runBatched(queue)
 	if err != nil {
 		if errors.Is(err, transport.ErrClosed) {
 			// The endpoint was closed under a mid-flight handler (a kill
@@ -565,37 +557,6 @@ func (s *Server) Run() error {
 	return fmt.Errorf("core: server %d recv: %w", s.cfg.Rank, err)
 }
 
-// runSerial is Run's apply stage when ApplyWorkers ≤ 1: the original
-// one-message-at-a-time loop, plus the periodic adaptive re-evaluation
-// tick (a no-op unless the shard runs an adaptive model).
-func (s *Server) runSerial(queue chan queuedMsg) (shutdown bool, err error) {
-	tick := time.NewTicker(s.adaptEvery())
-	defer tick.Stop()
-	for {
-		select {
-		case q, ok := <-queue:
-			if !ok {
-				return false, nil
-			}
-			if s.metrics.on {
-				s.metrics.applyWait.Observe(time.Since(q.at))
-			}
-			shutdown, err := s.apply(q.msg)
-			if err != nil || shutdown {
-				return shutdown, err
-			}
-			s.maybePublishSnapshot()
-		case <-tick.C:
-			if err := s.reevaluate(); err != nil {
-				return false, err
-			}
-			if err := s.replTick(); err != nil {
-				return false, err
-			}
-		}
-	}
-}
-
 // queuedMsg is one message in the receive→apply queue, stamped with its
 // enqueue time when telemetry is on (the apply-queue-wait histogram).
 type queuedMsg struct {
@@ -603,45 +564,22 @@ type queuedMsg struct {
 	at  time.Time
 }
 
-// apply dispatches one message. Receiver-owned pooled messages (TCP
-// frames, handed-off pointers) are recycled after their handler returns —
-// except MsgMigrate when handleMigrate buffers it until its rebalance or
-// view arrives, and pushes/pulls held while their keys are in flight
-// during a migration.
+// apply dispatches one barrier (control-plane) message against a
+// quiescent shard; pushes and pulls never reach it — runBatched stages
+// them into the engine. Receiver-owned pooled messages (TCP frames,
+// handed-off pointers) are recycled after their handler returns — except
+// MsgMigrate when handleViewMigrate buffers it until its view arrives.
 func (s *Server) apply(msg *transport.Message) (shutdown bool, err error) {
 	switch msg.Type {
-	case transport.MsgPush:
-		if s.holdForMigration(msg) {
-			s.holdMsg(msg)
-			return false, nil
-		}
-		err = s.handlePush(msg)
-		transport.ReleaseReceived(msg)
-		if err == nil {
-			s.snapshotStats()
-		}
-	case transport.MsgPull:
-		if s.holdForMigration(msg) {
-			s.holdMsg(msg)
-			return false, nil
-		}
-		err = s.handlePull(msg)
-		transport.ReleaseReceived(msg)
-		if err == nil {
-			s.snapshotStats()
-		}
 	case transport.MsgSetCond:
 		err = s.handleSetCond(msg)
 		transport.ReleaseReceived(msg)
 		if err == nil {
 			s.snapshotStats()
 		}
-	case transport.MsgRebalance:
-		err = s.handleRebalance(msg)
-		transport.ReleaseReceived(msg)
 	case transport.MsgMigrate:
 		var retained bool
-		retained, err = s.handleMigrate(msg)
+		retained, err = s.handleViewMigrate(msg)
 		if !retained {
 			transport.ReleaseReceived(msg)
 		}
@@ -667,7 +605,7 @@ func (s *Server) apply(msg *transport.Message) (shutdown bool, err error) {
 		// Reached only when the reader pool is disabled (the receive
 		// stage intercepts MsgPullRO otherwise): served inline from the
 		// current snapshot — lock-free, but serialized with training.
-		err = s.handlePullRO(msg, s.ep)
+		err = s.servePullRO(msg, s.ep)
 		transport.ReleaseReceived(msg)
 	case transport.MsgShutdown:
 		transport.ReleaseReceived(msg)
@@ -688,64 +626,8 @@ func (s *Server) ack(typ transport.MsgType, to transport.NodeID, seq uint64) err
 	return transport.SendOwned(s.ep, a)
 }
 
-func (s *Server) handlePush(msg *transport.Message) error {
-	if _, dup := s.dedupLookup(msg.From, msg.Seq); dup {
-		// A retransmission (or a duplicated frame) of a push already
-		// consumed: re-ack so the retrying worker unblocks, but never
-		// re-apply the gradient — at-least-once delivery plus this
-		// window yields effectively-once application.
-		s.dedupHits++
-		s.metrics.dedupPushHits.Inc()
-		// The re-ack parks like the original if its wave is still pending
-		// replication: an ack must always mean "replicated".
-		if err := s.ackOrPark(msg.From, msg.Seq); err != nil {
-			return fmt.Errorf("core: server %d re-ack push: %w", s.cfg.Rank, err)
-		}
-		return nil
-	}
-	if s.staleFenced(msg) {
-		return s.rejectStale(msg)
-	}
-	worker := int(msg.From.Rank)
-	progress := int(msg.Progress)
-	if s.adapt != nil {
-		s.adapt.ObservePush(worker, s.now())
-	}
-	advancesBefore := s.debugAdvances()
-	apply, released := s.ctrl.OnPush(worker, progress)
-	s.assertDrainImpliesAdvance(len(released), advancesBefore)
-	if apply {
-		// Algorithm 1 line 15: w ← w + g/N, before draining pulls.
-		if err := s.shard.ApplyGradPayload(msg.Keys, msg.Vals, 1/float64(s.cfg.NumWorkers)); err != nil {
-			return fmt.Errorf("core: server %d apply push from %s: %w", s.cfg.Rank, msg.From, err)
-		}
-		s.metrics.pushesApplied.Inc()
-	} else {
-		s.metrics.pushesDropped.Inc()
-	}
-	// A dropped push is consumed too: its duplicate must not be offered
-	// to the controller a second time.
-	s.dedupRecord(msg.From, msg.Seq, dedupPushDone)
-	if s.replActive() {
-		// Acked ⇒ replicated: the ack is parked on the wave carrying this
-		// push's effects and released by the backup's acknowledgement.
-		if err := s.replicatePush(msg, apply); err != nil {
-			return err
-		}
-	} else if err := s.ack(transport.MsgPushAck, msg.From, msg.Seq); err != nil {
-		return fmt.Errorf("core: server %d ack push: %w", s.cfg.Rank, err)
-	}
-	for _, rel := range released {
-		s.assertSSPStaleness(rel.Progress)
-		if err := s.releasePull(rel.Token.(pullToken)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// releasePull answers a pull drained from the DPR buffer, accounting its
-// buffered time and the drain counter.
+// releasePull answers a pull drained from the DPR buffer by a barrier
+// (a model switch), accounting its buffered time and the drain counter.
 func (s *Server) releasePull(tok pullToken) error {
 	s.metrics.dprDrained.Inc()
 	if s.metrics.on && !tok.at.IsZero() {
@@ -762,49 +644,6 @@ type pullToken struct {
 	// at is the buffering timestamp feeding the time-in-DPR-buffer
 	// histogram; zero when telemetry is off or the pull never buffered.
 	at time.Time
-}
-
-func (s *Server) handlePull(msg *transport.Message) error {
-	if out, dup := s.dedupLookup(msg.From, msg.Seq); dup {
-		s.dedupHits++
-		s.metrics.dedupPullHits.Inc()
-		if out == dedupPullAnswered {
-			// The earlier response was lost in flight; answering again
-			// with current parameters is safe — pulls do not mutate.
-			// (No keys copy needed: this path answers before returning.)
-			return s.respondPull(pullToken{from: msg.From, seq: msg.Seq, keys: msg.Keys})
-		}
-		// Still buffered as a DPR: the original will be answered when a
-		// push releases it; registering the duplicate would answer the
-		// worker twice and corrupt the DPR accounting.
-		return nil
-	}
-	if s.staleFenced(msg) {
-		return s.rejectStale(msg)
-	}
-	worker := int(msg.From.Rank)
-	progress := int(msg.Progress)
-	s.metrics.pulls.Inc()
-	keys := msg.Keys
-	if msg.ReceiverOwned() {
-		// The apply loop recycles this message as soon as the handler
-		// returns, but a buffered DPR token outlives it — take a copy.
-		// (Sender-owned messages are safe to alias: the worker holds them
-		// until its pull completes, which is after any DPR release.)
-		keys = append([]keyrange.Key(nil), keys...)
-	}
-	tok := pullToken{from: msg.From, seq: msg.Seq, keys: keys}
-	if s.metrics.on {
-		tok.at = time.Now()
-	}
-	if s.ctrl.OnPull(worker, progress, tok) {
-		s.assertSSPStaleness(progress)
-		s.dedupRecord(msg.From, msg.Seq, dedupPullAnswered)
-		return s.respondPull(tok)
-	}
-	s.dedupRecord(msg.From, msg.Seq, dedupPullPending)
-	s.metrics.dprBuffered.Inc()
-	return nil // buffered as a DPR; answered by a later push
 }
 
 // handleSetCond swaps the shard's synchronization model at runtime (the

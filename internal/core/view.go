@@ -85,21 +85,21 @@ func (s *Server) staleFenced(msg *transport.Message) bool {
 	return msg.View != 0 && msg.View < s.epoch
 }
 
-// rejectStale answers a stale-routed request with the server's current
-// view so the sender can adopt it and reissue. The rejection echoes the
-// request seq; the request was NOT applied, so a reissue under a fresh
-// seq cannot double-apply.
-func (s *Server) rejectStale(msg *transport.Message) error {
+// rejectStale answers a stale-routed request (to, seq) with the server's
+// current view so the sender can adopt it and reissue. The rejection
+// echoes the request seq; the request was NOT applied, so a reissue under
+// a fresh seq cannot double-apply.
+func (s *Server) rejectStale(to transport.NodeID, seq uint64) error {
 	s.metrics.staleViewRejects.Inc()
 	out := &transport.Message{
 		Type: transport.MsgStaleView,
-		To:   msg.From,
-		Seq:  msg.Seq,
+		To:   to,
+		Seq:  seq,
 		View: s.epoch,
 		Vals: s.views.View().Encode(nil),
 	}
 	if err := s.ep.Send(out); err != nil {
-		return fmt.Errorf("core: server %d stale-view reject to %v: %w", s.cfg.Rank, msg.From, err)
+		return fmt.Errorf("core: server %d stale-view reject to %v: %w", s.cfg.Rank, to, err)
 	}
 	return nil
 }
@@ -137,15 +137,17 @@ func (s *Server) holdMsg(msg *transport.Message) {
 }
 
 // replayHeld re-runs parked requests after a view install or migration
-// completion; requests still waiting on another in-flight change are
-// re-held by the handlers' own hold checks.
+// completion as one engine wave; requests still waiting on another
+// in-flight change are re-held. It runs inside a barrier, so the engine
+// is empty on entry and flushed on return.
 func (s *Server) replayHeld() error {
 	if len(s.held) == 0 {
 		return nil
 	}
 	held := s.held
 	s.held = nil
-	for _, msg := range held {
+	e := s.eng
+	for i, msg := range held {
 		if s.holdForMigration(msg) {
 			s.holdMsg(msg)
 			continue
@@ -153,16 +155,24 @@ func (s *Server) replayHeld() error {
 		var err error
 		switch msg.Type {
 		case transport.MsgPush:
-			err = s.handlePush(msg)
+			err = e.stagePush(msg)
 		case transport.MsgPull:
-			err = s.handlePull(msg)
+			err = e.stagePull(msg)
 		}
 		if err != nil {
+			// The engine owns everything staged so far (msg included); the
+			// rest of held is still ours to recycle.
+			e.reset()
+			for _, m := range held[i+1:] {
+				transport.ReleaseReceived(m)
+			}
 			return err
 		}
-		transport.ReleaseReceived(msg)
-		s.snapshotStats()
 	}
+	if err := e.flush(); err != nil {
+		return err
+	}
+	s.snapshotStats()
 	return nil
 }
 
@@ -232,6 +242,26 @@ func (s *Server) installView(v *clusterview.View, admin transport.NodeID, seq ui
 	}
 	s.cfg.Assignment = v.Assignment
 	s.keys = append(s.keys[:0], s.shard.Keys()...)
+	if len(departing) > 0 {
+		// A buffered pull that asked for a departed key can no longer be
+		// answered here, and a drained rank sees no further push to even
+		// release it: fence it now so its worker reissues to the new owners.
+		moved := s.ctrl.Evict(func(p syncmodel.Pull) bool {
+			for _, k := range p.Token.(pullToken).keys {
+				if !s.shard.Has(k) {
+					return true
+				}
+			}
+			return false
+		})
+		for _, p := range moved {
+			tok := p.Token.(pullToken)
+			s.dedupRecord(tok.from, tok.seq, dedupPullAnswered)
+			if err := s.rejectStale(tok.from, tok.seq); err != nil {
+				return err
+			}
+		}
+	}
 
 	// Arrivals: keys the new assignment gives us that we do not hold.
 	expect := make(map[keyrange.Key]struct{})

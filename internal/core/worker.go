@@ -91,7 +91,7 @@ type WorkerConfig struct {
 	// with the view's epoch, and the worker adopts newer views pushed to
 	// it (or embedded in a stale-view rejection) — re-routing reissued
 	// requests to the keys' new owners. Nil keeps the static legacy mode:
-	// unstamped requests, assignment changes only via SetAssignment.
+	// unstamped requests, a fixed assignment.
 	View *clusterview.View
 }
 
@@ -501,13 +501,12 @@ func (w *Worker) finishRequest(p *pendingReq) {
 }
 
 // viewStamp returns the epoch every outgoing request carries — zero (the
-// unfenced sentinel) in legacy static mode.
-func (w *Worker) viewStamp() uint32 {
-	if w.views == nil {
-		return 0
-	}
-	return w.views.View().EpochStamp()
-}
+// unfenced sentinel) in legacy static mode. It is the epoch of the view
+// keysPerServer was built from, not the tracker's newest: a view the
+// receive loop adopted since the last quiet point must not vouch for keys
+// routed by the assignment before it (the server would take the request
+// past its fence and fault on keys it already shipped away).
+func (w *Worker) viewStamp() uint32 { return uint32(w.adoptedEpoch) }
 
 // adoptFromWire decodes and (epoch permitting) installs a view carried in
 // a MsgView broadcast or embedded in a MsgStaleView rejection. Runs on the
@@ -533,7 +532,7 @@ func (w *Worker) adoptFromWire(vals []float64) {
 }
 
 // maybeAdoptAssignment switches the owning goroutine onto a newly adopted
-// view's key assignment. Only safe at a quiet point — SetAssignment tears
+// view's key assignment. Only safe at a quiet point — setAssignment tears
 // down and rebuilds the per-server pipelines — so with requests still in
 // flight the switch waits for the next operation boundary; until then
 // fenced requests are repaired one by one through the reissue path.
@@ -549,7 +548,21 @@ func (w *Worker) maybeAdoptAssignment() {
 		return
 	}
 	w.adoptedEpoch = v.Epoch
-	w.SetAssignment(v.Assignment)
+	w.setAssignment(v.Assignment)
+}
+
+// setAssignment points the worker at a new key assignment. The caller
+// must guarantee no requests are in flight: the per-server sender
+// pipelines are torn down and rebuilt for the new server count.
+func (w *Worker) setAssignment(next *keyrange.Assignment) {
+	w.stopPipes()
+	w.cfg.Assignment = next
+	w.servers = next.NumServers()
+	w.keysPerServer = make([][]keyrange.Key, w.servers)
+	for m := 0; m < w.servers; m++ {
+		w.keysPerServer[m] = next.KeysOf(m)
+	}
+	w.startPipes()
 }
 
 func (w *Worker) lostErr(err error) error {

@@ -225,6 +225,21 @@ func TestRebalanceNoOpWhenAllAlive(t *testing.T) {
 	}
 }
 
+func TestScaleUpValidation(t *testing.T) {
+	l := MustLayout([]int{1, 2, 3})
+	a, _ := EPS(l, 3)
+	if _, err := ScaleUp(a, l, 2); err == nil {
+		t.Error("shrinking via ScaleUp accepted")
+	}
+	same, err := ScaleUp(a, l, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if Moved(a, same) != 0 {
+		t.Error("no-op scale-up moved keys")
+	}
+}
+
 // Property: every key is assigned to a valid server and total load is
 // preserved, for both slicers and arbitrary layouts.
 func TestSlicingProperties(t *testing.T) {

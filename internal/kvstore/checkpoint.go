@@ -36,8 +36,8 @@ func (s *Shard) Save(w io.Writer) error {
 // SaveKeys writes a checkpoint stream holding only the given keys (all of
 // which the shard must own). It is the same self-describing format Save
 // emits, which makes it the single serialization for every way key state
-// leaves a server: full checkpoints, live key transfer during an elastic
-// rebalance, and replica snapshots — one format, one validator, and the
+// leaves a server: full checkpoints, live key transfer during a view
+// change, and replica snapshots — one format, one validator, and the
 // per-key update counters always travel with the values.
 func (s *Shard) SaveKeys(w io.Writer, keys []keyrange.Key) error {
 	bw := bufio.NewWriter(w)
@@ -176,7 +176,7 @@ func LoadStripedShard(r io.Reader, layout *keyrange.Layout, stripes int) (*Shard
 
 // Absorb merges a checkpoint stream (Save/SaveKeys output) into a live
 // shard, taking ownership of every key in the stream — the arrival side
-// of live key transfer during an elastic rebalance. Values AND update
+// of live key transfer during a view change. Values AND update
 // counters are adopted (a raw-segment hand-off used to silently zero the
 // counters of migrated keys). Keys already owned or outside the layout
 // fail the merge; earlier keys of the stream stay absorbed, so callers

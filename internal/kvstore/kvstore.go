@@ -240,8 +240,7 @@ func (s *Shard) ApplyBatch(stripe int, scale float64, items []BatchItem) error {
 	return nil
 }
 
-// Set overwrites key k's segment (used for rebalance handoff) under the
-// key's stripe lock. A length mismatch returns a *DimError and writes
+// Set overwrites key k's segment under the key's stripe lock. A length mismatch returns a *DimError and writes
 // nothing.
 func (s *Shard) Set(k keyrange.Key, vals []float64) error {
 	sp := s.stripeFor(k)
@@ -368,7 +367,7 @@ func (s *Shard) GatherShard(dst []float64, keys []keyrange.Key) ([]float64, erro
 // ApplyGradPayload — out-of-layout or unowned keys and size mismatches
 // return an error before fn sees the offending key — which is what lets
 // the server's apply engine partition a push into per-stripe batches and
-// report a malformed push identically to the serial path. Requires
+// report a malformed push exactly as ApplyGradPayload would. Requires
 // quiescence (ownership is checked without stripe locks).
 func (s *Shard) ForEachPayload(keys []keyrange.Key, vals []float64, fn func(k keyrange.Key, grad []float64)) error {
 	off := 0

@@ -16,7 +16,7 @@ import (
 // pslite baseline deliberately has no views and is exempt). Handlers
 // are the MsgPush/MsgPull case bodies of MsgType switches plus every
 // same-package function those bodies pass the message to — one level
-// deep, matching how the server splits apply/handlePush/stagePush.
+// deep, matching how the server splits runBatched/stagePush/stagePull.
 //
 // Protected touches:
 //   - any method call through a field named ctrl (the controller);

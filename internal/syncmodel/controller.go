@@ -400,6 +400,31 @@ func (c *Controller) ForceAdvance() (released []Pull) {
 	return c.advanceRound()
 }
 
+// Evict removes and returns the buffered pulls match selects, leaving
+// the clock untouched. It is for callers whose tokens became unanswerable
+// here: a departed worker's pulls (Depart), or pulls for keys a
+// membership change moved to another shard — no later push on this shard
+// may ever release those, so the caller must redirect them itself.
+func (c *Controller) Evict(match func(Pull) bool) (evicted []Pull) {
+	for _, idx := range c.bufferRounds() {
+		ps := c.buffer[idx]
+		kept := ps[:0]
+		for _, p := range ps {
+			if match(p) {
+				evicted = append(evicted, p)
+			} else {
+				kept = append(kept, p)
+			}
+		}
+		if len(kept) == 0 {
+			delete(c.buffer, idx)
+		} else {
+			c.buffer[idx] = kept
+		}
+	}
+	return evicted
+}
+
 // Depart removes worker n from the active membership. Its buffered pulls
 // are returned as dropped (the caller discards their tokens — the worker is
 // gone and must not be answered), and any pulls released because the
@@ -419,22 +444,7 @@ func (c *Controller) Depart(worker int) (dropped, released []Pull) {
 	}
 	c.active[worker] = false
 	c.activeN--
-	for _, idx := range c.bufferRounds() {
-		ps := c.buffer[idx]
-		kept := ps[:0]
-		for _, p := range ps {
-			if p.Worker == worker {
-				dropped = append(dropped, p)
-			} else {
-				kept = append(kept, p)
-			}
-		}
-		if len(kept) == 0 {
-			delete(c.buffer, idx)
-		} else {
-			c.buffer[idx] = kept
-		}
-	}
+	dropped = c.Evict(func(p Pull) bool { return p.Worker == worker })
 	// The quorum just shrank: a round that was one push short of closing
 	// may now satisfy the push condition. Never advance on an empty
 	// membership — "0 of 0 pushed" must not spin the clock forever.

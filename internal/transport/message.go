@@ -93,15 +93,10 @@ const (
 	MsgSetCond
 	// MsgSetCondAck confirms the reconfiguration.
 	MsgSetCondAck
-	// MsgRebalance starts an elastic rebalance; Vals carries the encoded
-	// new key assignment. Sent by an admin to every server.
-	MsgRebalance
-	// MsgMigrate hands a key segment to its new owner during a rebalance
-	// (Keys: the single key; Vals: its parameters).
+	// MsgMigrate hands departing keys to their new owner after a view
+	// change (View: the view's epoch; Keys: the moved keys; Vals: their
+	// checkpoint stream plus the donor's controller image).
 	MsgMigrate
-	// MsgRebalanceAck confirms a server has sent all departing segments
-	// and received all arriving ones.
-	MsgRebalanceAck
 	// MsgStats asks a server for its synchronization state.
 	MsgStats
 	// MsgStatsResp answers MsgStats; Vals carries the encoded state (see
@@ -183,12 +178,8 @@ func (t MsgType) String() string {
 		return "set_cond"
 	case MsgSetCondAck:
 		return "set_cond_ack"
-	case MsgRebalance:
-		return "rebalance"
 	case MsgMigrate:
 		return "migrate"
-	case MsgRebalanceAck:
-		return "rebalance_ack"
 	case MsgStats:
 		return "stats"
 	case MsgStatsResp:
