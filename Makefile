@@ -14,7 +14,7 @@ COVER_FLOOR ?= 80.0
 # ~1s; the ceiling leaves room for cold build caches).
 LINT_BUDGET ?= 60s
 
-.PHONY: verify build vet lint lint-baseline lint-self test race race-debug race-stress race-failover fuzz fuzz-smoke determinism scenarios scenarios-smoke fanout-smoke bench-smoke cover ci bench bench-paper
+.PHONY: verify build vet vet-bigendian lint lint-baseline lint-self test race race-debug race-stress race-failover fuzz fuzz-smoke determinism scenarios scenarios-smoke fanout-smoke bench-smoke cover ci bench bench-paper
 
 ## verify: the tier-1 gate — vet, build, full test suite.
 verify: vet build test
@@ -46,6 +46,14 @@ build:
 vet:
 	$(GO) vet ./...
 
+## vet-bigendian: internal/transport moves float payloads zero-copy on
+## little-endian hosts and through a staging buffer everywhere else (a
+## build constraint picks, see vals_le.go / vals_portable.go). No CI host
+## is big-endian, so cross-vet the package — tests included — for one
+## that is: the portable path must at least keep compiling.
+vet-bigendian:
+	GOOS=linux GOARCH=s390x $(GO) vet ./internal/transport/
+
 test:
 	$(GO) test ./...
 
@@ -71,7 +79,7 @@ race-debug:
 ## repetitions than the general race pass.
 race-stress:
 	$(GO) test -race -tags fluentdebug -count=5 \
-		-run 'TestStripedShardConcurrentApply|TestBatchedApplyStress|TestBatchedApplyMatchesExpected|TestSnapshotROStress|TestHandleROOverMux' \
+		-run 'TestStripedShardConcurrentApply|TestBatchedApplyStress|TestBatchedApplyMatchesExpected|TestSnapshotROStress|TestHandleROOverMux|TestFirstReadWhileTrainingIsFresh' \
 		./internal/kvstore/ ./internal/core/
 
 ## race-failover: the elastic-membership and failover integration tests,
@@ -80,10 +88,11 @@ race-stress:
 ## mid-training, its backup is promoted, and the exact-sum audit proves
 ## no update was lost or double-applied across the failover; the
 ## join/drain tests stream keys through view transitions while workers
-## keep training.
+## keep training, and a pull retried across a drain must be fenced, not
+## re-answered from keys that moved.
 race-failover:
 	$(GO) test -race -count=5 -timeout 600s \
-		-run 'TestFailoverKillServer|TestViewFencingRejectsStaleEpoch|TestLiveJoinServesDuringTransfer|TestDrainMovesKeysWithoutStopping' \
+		-run 'TestFailoverKillServer|TestViewFencingRejectsStaleEpoch|TestLiveJoinServesDuringTransfer|TestDrainMovesKeysWithoutStopping|TestRetriedPullAfterDrainIsFenced' \
 		./internal/core/
 
 ## fuzz: a short codec fuzz pass over every wire format — the message
@@ -164,8 +173,10 @@ cover:
 ## everything (plus a fluentdebug assertion pass), the determinism replay
 ## properties, the scenario-matrix smoke tier with its golden and
 ## dominance gates, a codec fuzz smoke, the adaptive-regret acceptance
-## gate, the bench/ module's own vet + short tests, and the coverage floor.
+## gate, the bench/ module's own vet + short tests, the big-endian
+## cross-vet of the transport, and the coverage floor.
 ci: verify
+	$(MAKE) vet-bigendian
 	$(MAKE) lint
 	$(MAKE) lint-self
 	$(MAKE) bench-smoke

@@ -173,6 +173,10 @@ func (s *Server) runBatched(queue chan queuedMsg) (shutdown bool, err error) {
 	}
 	tick := time.NewTicker(s.adaptEvery())
 	defer tick.Stop()
+	// A controller restored before Run (a promoted replica) starts past
+	// the boot snapshot's cut; mirror its clock so the first reader sees
+	// that and demands a publish.
+	s.maybePublishSnapshot()
 	for {
 		var q queuedMsg
 		// The tick only fires here, between waves: the engine is empty and
@@ -192,6 +196,11 @@ func (s *Server) runBatched(queue chan queuedMsg) (shutdown bool, err error) {
 			if err := s.replTick(); err != nil {
 				return false, err
 			}
+			continue
+		case <-s.roNudge:
+			// A reader found the snapshot too stale (roserver.go) while
+			// the queue is idle: no wave boundary is coming, publish now.
+			s.maybePublishSnapshot()
 			continue
 		}
 		open := true
@@ -239,7 +248,7 @@ func (s *Server) runBatched(queue chan queuedMsg) (shutdown bool, err error) {
 		}
 		s.snapshotStats()
 		// flush's completion barrier left the shard quiescent: the wave
-		// boundary is where RO snapshot epochs are cut.
+		// boundary is where RO snapshot epochs are cut, if a reader asked.
 		s.maybePublishSnapshot()
 		if barrier != nil {
 			shutdown, err := s.apply(barrier)
@@ -352,11 +361,16 @@ func (e *applyEngine) stagePull(msg *transport.Message) error {
 		// the duplicate would answer the worker twice and corrupt the DPR
 		// accounting.
 		if out == dedupPullAnswered {
+			// A retry that outlived a view change may name keys this
+			// shard no longer holds; re-answering would fail the gather.
+			// Fence it like a first-time request: re-answering never
+			// mutated anything, so the worker's reissue is safe.
+			if s.staleFenced(msg) {
+				return s.rejectStale(msg.From, msg.Seq)
+			}
 			// Re-answer a retried pull whose response was lost (pulls do
-			// not mutate, so current parameters are safe). The keys alias
-			// msg, which stays alive until after the acts run.
-			e.acts = append(e.acts, pendingAct{kind: actPullResp,
-				tok: pullToken{from: msg.From, seq: msg.Seq, keys: msg.Keys}})
+			// not mutate, so current parameters are safe).
+			e.acts = append(e.acts, pendingAct{kind: actPullResp, tok: waveToken(msg)})
 		}
 		return nil
 	}
@@ -366,27 +380,38 @@ func (e *applyEngine) stagePull(msg *transport.Message) error {
 	worker := int(msg.From.Rank)
 	progress := int(msg.Progress)
 	s.metrics.pulls.Inc()
-	keys := msg.Keys
-	if msg.ReceiverOwned() {
-		// A buffered DPR token outlives the wave that recycles this
-		// message — take a copy. (Sender-owned messages are safe to
-		// alias: the worker holds them until its pull completes, which is
-		// after any DPR release.)
-		keys = append([]keyrange.Key(nil), keys...)
-	}
-	tok := pullToken{from: msg.From, seq: msg.Seq, keys: keys}
-	if s.metrics.on {
-		tok.at = time.Now()
-	}
-	if s.ctrl.OnPull(worker, progress, tok) {
+	// The retained token (a key copy, boxed) is built only if the
+	// controller buffers the pull.
+	if s.ctrl.OnPullLazy(worker, progress, func() any { return s.retainedToken(msg) }) {
 		s.assertSSPStaleness(progress)
 		s.dedupRecord(msg.From, msg.Seq, dedupPullAnswered)
-		e.acts = append(e.acts, pendingAct{kind: actPullResp, tok: tok})
+		e.acts = append(e.acts, pendingAct{kind: actPullResp, tok: waveToken(msg)})
 		return nil
 	}
 	s.dedupRecord(msg.From, msg.Seq, dedupPullPending)
 	s.metrics.dprBuffered.Inc()
 	return nil // buffered as a DPR; answered by a later push
+}
+
+// waveToken is the token of a pull answered within its own wave: its keys
+// alias msg, which the engine keeps alive until the wave's acts have run.
+func waveToken(msg *transport.Message) pullToken {
+	return pullToken{from: msg.From, seq: msg.Seq, keys: msg.Keys}
+}
+
+// retainedToken is the token of a pull buffered as a DPR, which outlives
+// the wave that recycles a receiver-owned msg — so it takes a copy of the
+// keys. (Sender-owned messages are safe to alias: the worker holds them
+// until its pull completes, which is after any DPR release.)
+func (s *Server) retainedToken(msg *transport.Message) pullToken {
+	tok := pullToken{from: msg.From, seq: msg.Seq, keys: msg.Keys}
+	if msg.ReceiverOwned() {
+		tok.keys = append([]keyrange.Key(nil), msg.Keys...)
+	}
+	if s.metrics.on {
+		tok.at = time.Now()
+	}
+	return tok
 }
 
 // flush applies the wave's dirty stripes, then executes the deferred

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -31,6 +32,10 @@ type elasticHarness struct {
 	before  int
 	// applyWorkers is every server's apply-pool size (forEachPool).
 	applyWorkers int
+	// wrap, when set, interposes on a server's endpoint (fault injection);
+	// retry is the workers' retransmission policy.
+	wrap  func(rank int, ep transport.Endpoint) transport.Endpoint
+	retry RetryPolicy
 }
 
 // forEachPool runs body as subtests at both apply-pool shapes: a pool of
@@ -45,7 +50,11 @@ func forEachPool(t *testing.T, body func(t *testing.T, applyWorkers int)) {
 
 func (h *elasticHarness) startServer(rank, numWorkers int, view *clusterview.View) {
 	h.t.Helper()
-	srv, err := NewServer(h.net.Endpoint(transport.Server(rank)), ServerConfig{
+	var ep transport.Endpoint = h.net.Endpoint(transport.Server(rank))
+	if h.wrap != nil {
+		ep = h.wrap(rank, ep)
+	}
+	srv, err := NewServer(ep, ServerConfig{
 		Rank: rank, NumWorkers: numWorkers, Layout: h.layout,
 		Model: syncmodel.SSP(2), Drain: syncmodel.Lazy,
 		Seed: int64(rank), View: view, ApplyWorkers: h.applyWorkers,
@@ -65,7 +74,7 @@ func (h *elasticHarness) startWorkers(view *clusterview.View) {
 	for n := 0; n < h.workers; n++ {
 		w, err := NewWorker(h.net.Endpoint(transport.Worker(n)), WorkerConfig{
 			Rank: n, Layout: h.layout, View: view,
-			Timeout: 8 * time.Second,
+			Timeout: 8 * time.Second, Retry: h.retry,
 		})
 		if err != nil {
 			h.t.Fatal(err)
@@ -309,4 +318,142 @@ func runDrain(t *testing.T, applyWorkers int) {
 	}
 	h.auditExactSum(ctx)
 	h.shutdown(2, 0, 1)
+}
+
+// lostReplyGate is the lossy link of TestRetriedPullAfterDrainIsFenced,
+// wrapped around the server that will be drained. It loses that server's
+// loseNth pull response to worker 0, and from then on holds back every
+// retransmission of that pull until release is closed — so training
+// cannot finish before the view change, and the retry reaches the server
+// strictly after it, whatever the scheduler does.
+type lostReplyGate struct {
+	transport.Endpoint
+	inject  transport.Endpoint // re-delivers the held retries
+	loseNth atomic.Int32
+	lostSeq atomic.Uint64
+	lost    chan struct{} // closed when the response was dropped
+	release chan struct{}
+	fenced  atomic.Int32 // MsgStaleView answers to the lost pull's seq
+}
+
+func (g *lostReplyGate) Send(m *transport.Message) error {
+	if m.To == transport.Worker(0) {
+		switch {
+		case m.Type == transport.MsgPullResp && g.loseNth.Add(-1) == 0:
+			g.lostSeq.Store(m.Seq)
+			close(g.lost)
+			return nil // lost on the wire
+		case m.Type == transport.MsgStaleView && m.Seq == g.lostSeq.Load():
+			g.fenced.Add(1)
+		}
+	}
+	return g.Endpoint.Send(m)
+}
+
+func (g *lostReplyGate) Recv() (*transport.Message, error) {
+	for {
+		m, err := g.Endpoint.Recv()
+		if err != nil {
+			return nil, err
+		}
+		held := m.Type == transport.MsgPull && m.From == transport.Worker(0) &&
+			g.loseNth.Load() <= 0 && m.Seq == g.lostSeq.Load()
+		select {
+		case <-g.release:
+			held = false
+		default:
+		}
+		if !held {
+			return m, nil
+		}
+		go func() {
+			<-g.release
+			_ = g.inject.Send(m)
+		}()
+	}
+}
+
+// TestRetriedPullAfterDrainIsFenced is the regression test for a retried
+// pull meeting the dedup window after its keys moved: the server answered
+// a pull, the response was lost, a drain moved every key away, and only
+// then did the worker's retransmission (same seq, old view stamp) arrive.
+// The dedup window remembers the pull as answered; re-answering it would
+// gather keys the shard no longer holds and take the server down. It must
+// be fenced with MsgStaleView instead — the worker adopts the view and
+// reissues to the new owners, and the exact-sum audit still holds.
+func TestRetriedPullAfterDrainIsFenced(t *testing.T) { forEachPool(t, runRetriedPullAfterDrain) }
+
+func runRetriedPullAfterDrain(t *testing.T, applyWorkers int) {
+	const (
+		workers = 2
+		iters   = 40
+		drained = 2
+	)
+	layout := keyrange.MustLayout([]int{2, 3, 2, 3, 2, 3})
+	assign, err := keyrange.EPS(layout, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := transport.NewChanNetwork(4096)
+	gate := &lostReplyGate{
+		inject: net.Endpoint(transport.Worker(60)),
+		lost:   make(chan struct{}), release: make(chan struct{}),
+	}
+	gate.loseNth.Store(10) // mid-training: iters is 40
+	defer gate.inject.Close()
+	h := &elasticHarness{
+		t: t, net: net, layout: layout,
+		srvErrs: make(map[int]chan error), workers: workers, iters: iters,
+		before: runtime.NumGoroutine(), applyWorkers: applyWorkers,
+		wrap: func(rank int, ep transport.Endpoint) transport.Endpoint {
+			if rank != drained {
+				return ep
+			}
+			gate.Endpoint = ep
+			return gate
+		},
+		retry: RetryPolicy{BaseDelay: 10 * time.Millisecond, MaxDelay: 50 * time.Millisecond},
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+
+	view := clusterview.Bootstrap("", make([]string, 3), make([]string, workers), assign, 1)
+	for m := 0; m < 3; m++ {
+		h.startServer(m, workers, view)
+	}
+	h.startWorkers(view)
+	h.admin = h.net.Endpoint(transport.Worker(50))
+
+	select {
+	case <-gate.lost:
+	case <-ctx.Done():
+		t.Fatal("the drained server never answered worker 0's tenth pull")
+	}
+	next, err := view.WithDrained(drained, layout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := DistributeView(ctx, h.admin, next, []int{0, 1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	close(gate.release) // the retries now reach a server that holds no keys
+
+	for n := 0; n < workers; n++ {
+		if err := <-h.wErrs; err != nil {
+			select {
+			case serr := <-h.srvErrs[drained]:
+				t.Fatalf("%v\ndrained server exited: %v", err, serr)
+			default:
+			}
+			t.Fatal(err)
+		}
+	}
+	if gate.fenced.Load() == 0 {
+		t.Error("the retried pull was never answered with MsgStaleView")
+	}
+	if st, err := QueryStats(ctx, h.admin, drained); err != nil || st.DedupHits == 0 {
+		t.Errorf("drained server: dedup hits %d (err %v); the retry never met the dedup window", st.DedupHits, err)
+	}
+	h.auditExactSum(ctx)
+	h.shutdown(drained, 0, 1)
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/fluentps/fluentps/internal/keyrange"
+	"github.com/fluentps/fluentps/internal/kvstore"
 	"github.com/fluentps/fluentps/internal/transport"
 )
 
@@ -26,6 +27,14 @@ import (
 //   - With the pool disabled (ReaderPool < 0) the apply loop serves
 //     MsgPullRO inline — still lock-free, but serialized with training.
 //
+// Snapshots are cut on reader demand, not on a schedule: the apply loop
+// publishes at a wave boundary only when a reader recently asked (see
+// maybePublishSnapshot), so a shard nobody reads never copies itself
+// after the boot epoch. The freshness contract of SnapshotEvery is kept
+// on the serving side instead: servePullRO never answers from a snapshot
+// SnapshotEvery or more V_train ticks behind the live clock — it asks
+// the apply loop for a fresh cut and waits for it (awaitFresh).
+//
 // Full-shard responses are zero-copy: they alias the snapshot's cached
 // flat payload and key slice into a non-pooled message (immutable by
 // the snapshot contract, so aliasing is safe even on pointer-passing
@@ -36,9 +45,21 @@ import (
 // ServerConfig.ReaderPool is zero.
 const DefaultReaderPool = 2
 
+// roDemandPublishes is how many due publishes one RO pull pays for in
+// advance: a steady reader keeps the publish-per-wave cadence without
+// ever waiting, and the last reader's departure costs this many more
+// shard copies, then none.
+const roDemandPublishes = 8
+
 // DefaultRetryAfterMs is the retry-after hint (milliseconds) carried by
 // MsgPullRORetry under admission control or an unsatisfiable epoch bound.
 const DefaultRetryAfterMs = 2
+
+// roStaleWait bounds how long a pull that found the snapshot too stale
+// waits for the apply loop to cut a fresh one before it is answered with
+// MsgPullRORetry instead. An idle or wave-processing apply loop publishes
+// within microseconds; only a long barrier (a key migration) runs it out.
+const roStaleWait = DefaultRetryAfterMs * time.Millisecond
 
 // readerPool resolves ServerConfig.ReaderPool: zero means
 // DefaultReaderPool, negative disables the pool.
@@ -99,7 +120,14 @@ func (s *Server) roWorker() {
 // Safe from any goroutine: it touches only the atomic snapshot pointer,
 // immutable snapshot data, and nil-safe metrics.
 func (s *Server) servePullRO(msg *transport.Message, reply roSender) error {
+	s.roDemand.Store(roDemandPublishes)
 	snap := s.shard.ROSnapshot()
+	if s.tooStale(snap) {
+		s.metrics.roStaleWaits.Inc()
+		if snap = s.awaitFresh(); s.tooStale(snap) {
+			return s.sendRORetry(reply, msg)
+		}
+	}
 	// For RO messages View is a snapshot-epoch stamp, not a cluster-view
 	// epoch: the client's minimum acceptable epoch (its monotone-reads
 	// bound). A bound ahead of the published epoch cannot be served yet.
@@ -184,32 +212,90 @@ func (s *Server) HandleRO(conn ROConn) error {
 	}
 }
 
-// maybePublishSnapshot republishes the RO snapshot at apply-wave
-// boundaries once V_train has advanced SnapshotEvery ticks past the
-// last publish (or the key set changed size under elastic migration).
-// Called only from the apply goroutine at quiescence points.
+// tooStale reports whether snap breaks the SnapshotEvery freshness
+// bound against the live V_train the apply goroutine last mirrored. A
+// negative SnapshotEvery freezes the boot epoch: nothing is ever stale.
+func (s *Server) tooStale(snap *kvstore.Snapshot) bool {
+	every := s.cfg.SnapshotEvery
+	return every >= 0 && int(s.liveVTrain.Load())-snap.VTrain >= max(every, 1)
+}
+
+// awaitFresh asks the apply loop for a publish and waits (at most
+// roStaleWait) until one lands, returning the then-current snapshot. The
+// nudge wakes an idle apply loop at once — a reader arriving after
+// training stopped must see the final parameters, not the boot epoch; a
+// busy one publishes at its next wave boundary because demand is set.
+func (s *Server) awaitFresh() *kvstore.Snapshot {
+	select {
+	case s.roNudge <- struct{}{}:
+	default: // a nudge is already pending
+	}
+	s.pubMu.Lock()
+	if s.published == nil {
+		s.published = make(chan struct{})
+	}
+	published := s.published
+	s.pubMu.Unlock()
+	// A publish between the caller's staleness check and the lock above
+	// closed the previous channel, not this one: look again before
+	// sleeping.
+	if snap := s.shard.ROSnapshot(); !s.tooStale(snap) {
+		return snap
+	}
+	timer := time.NewTimer(roStaleWait)
+	defer timer.Stop()
+	select {
+	case <-published:
+	case <-timer.C:
+	}
+	return s.shard.ROSnapshot()
+}
+
+// maybePublishSnapshot cuts a new RO snapshot epoch if a reader wants
+// one: an RO pull marks demand (which lingers for roDemandPublishes
+// publishes), and with demand the shard is republished once V_train has
+// advanced SnapshotEvery ticks past the last publish. A key set changed
+// by elastic migration forces a publish regardless — snapshot gathers
+// must fail over to the new owner, not serve moved keys forever. Then the
+// live V_train is mirrored for the readers' freshness check (after the
+// publish, so a steady reader never sees the clock ahead of a snapshot
+// that is about to catch up). Called only from the apply goroutine at
+// quiescence points.
 func (s *Server) maybePublishSnapshot() {
 	if s.cfg.SnapshotEvery < 0 {
 		return
 	}
-	every := s.cfg.SnapshotEvery
-	if every == 0 {
-		every = 1
-	}
 	vt := s.ctrl.VTrain()
-	if vt-s.lastPub < every && len(s.shard.Keys()) == len(s.shard.ROSnapshot().Keys()) {
-		return
+	snap := s.shard.ROSnapshot()
+	due := vt-snap.VTrain >= max(s.cfg.SnapshotEvery, 1)
+	wanted := s.roDemand.Load() > 0
+	if keysMoved := len(s.shard.Keys()) != len(snap.Keys()); keysMoved || (due && wanted) {
+		if wanted {
+			s.roDemand.Add(-1)
+		}
+		s.publishSnapshot(vt)
 	}
+	s.liveVTrain.Store(int64(vt))
+}
+
+// publishSnapshot publishes the shard at V_train tick vt and wakes every
+// reader parked in awaitFresh.
+func (s *Server) publishSnapshot(vt int) {
 	var start time.Time
 	if s.metrics.on {
 		start = time.Now()
 	}
 	sn := s.shard.PublishSnapshot(vt)
-	s.lastPub = vt
 	s.metrics.snapshotEpoch.Set(int64(sn.Epoch))
 	if s.metrics.on {
 		s.metrics.snapshotPublish.Observe(time.Since(start))
 	}
+	s.pubMu.Lock()
+	if s.published != nil {
+		close(s.published)
+		s.published = nil
+	}
+	s.pubMu.Unlock()
 }
 
 // ROClient issues read-only pulls over one ROConn (a mux stream, an

@@ -106,11 +106,13 @@ type ServerConfig struct {
 	// Nil disables hosting promotions (this server can still be a backup
 	// donor for key transfer and serve fenced traffic).
 	OpenEndpoint func(id transport.NodeID) (transport.Endpoint, error)
-	// SnapshotEvery is the read-tier publish cadence in V_train ticks: a
-	// new immutable parameter snapshot (kvstore.Snapshot) is published at
-	// the first apply-wave boundary after V_train has advanced this much.
-	// Zero selects 1 (every wave); negative freezes the epoch-1 boot
-	// snapshot (RO pulls still work, at unbounded staleness).
+	// SnapshotEvery is the read tier's freshness bound in V_train ticks:
+	// an RO pull is never answered from a snapshot this many or more ticks
+	// behind the shard's clock. Snapshots (kvstore.Snapshot) are published
+	// at apply-wave boundaries, and only while readers ask for them — at
+	// most once per SnapshotEvery ticks. Zero selects 1; negative freezes
+	// the epoch-1 boot snapshot (RO pulls still work, at unbounded
+	// staleness).
 	SnapshotEvery int
 	// ReaderPool sizes the goroutine pool serving read-only pulls
 	// (MsgPullRO) from the current snapshot, off the apply path. Zero
@@ -219,14 +221,23 @@ type Server struct {
 	subs []transport.Endpoint
 
 	// Read-optimized serving tier (roserver.go): roQueue feeds the reader
-	// pool, roStop ends it, lastPub is the V_train tick of the last
-	// published snapshot (owned by the apply goroutine), roServed backs
-	// ShardState.ROPulls from whichever goroutine served the pull.
+	// pool, roStop ends it, roServed backs ShardState.ROPulls from
+	// whichever goroutine served the pull.
 	roQueue  chan roReq
 	roStop   chan struct{}
 	roWG     sync.WaitGroup
-	lastPub  int
 	roServed atomic.Uint64
+	// Snapshots are published on reader demand. Readers write roDemand
+	// (publishes still paid for) and read liveVTrain (the apply
+	// goroutine's mirror of V_train, refreshed at every wave boundary);
+	// roNudge wakes an idle apply loop to publish now. published, guarded
+	// by pubMu, is closed by the next publish — what a reader that found
+	// the snapshot too stale waits on; nil while nobody waits.
+	roDemand   atomic.Int32
+	liveVTrain atomic.Int64
+	roNudge    chan struct{}
+	pubMu      sync.Mutex
+	published  chan struct{}
 
 	// debugLastVTrain backs the fluentdebug V_train monotonicity
 	// assertion (assert.go); unused in release builds.
@@ -417,6 +428,7 @@ func NewServer(ep transport.Endpoint, cfg ServerConfig) (*Server, error) {
 	// attached before Run still get answers.
 	boot := s.shard.PublishSnapshot(0)
 	s.metrics.snapshotEpoch.Set(int64(boot.Epoch))
+	s.roNudge = make(chan struct{}, 1)
 	if cfg.ReaderPool >= 0 {
 		s.roQueue = make(chan roReq, roQueueDepth(cfg.readerPool()))
 		s.roStop = make(chan struct{})
@@ -605,6 +617,10 @@ func (s *Server) apply(msg *transport.Message) (shutdown bool, err error) {
 		// Reached only when the reader pool is disabled (the receive
 		// stage intercepts MsgPullRO otherwise): served inline from the
 		// current snapshot — lock-free, but serialized with training.
+		// This goroutine is the publisher, so it cuts the epoch the
+		// reader is about to demand itself instead of waiting for it.
+		s.roDemand.Store(roDemandPublishes)
+		s.maybePublishSnapshot()
 		err = s.servePullRO(msg, s.ep)
 		transport.ReleaseReceived(msg)
 	case transport.MsgShutdown:

@@ -47,6 +47,9 @@ import (
 //	server.snapshot_publish_ns histogram time to publish one snapshot epoch
 //	server.ro_pulls          counter  read-only pulls served from snapshots
 //	server.ro_rejects        counter  read-only pulls shed by admission control
+//	server.ro_stale_waits    counter  read-only pulls that found the snapshot
+//	                                  SnapshotEvery behind (first read after
+//	                                  idle) and waited for a fresh publish
 //
 //	worker.pushes            counter  sPush operations started
 //	worker.pulls             counter  sPull operations started
@@ -97,6 +100,7 @@ type serverMetrics struct {
 	snapshotPublish *telemetry.Histogram
 	roPulls         *telemetry.Counter
 	roRejects       *telemetry.Counter
+	roStaleWaits    *telemetry.Counter
 }
 
 func newServerMetrics(r *telemetry.Registry) serverMetrics {
@@ -131,6 +135,7 @@ func newServerMetrics(r *telemetry.Registry) serverMetrics {
 		snapshotPublish: r.Histogram("server.snapshot_publish_ns"),
 		roPulls:         r.Counter("server.ro_pulls"),
 		roRejects:       r.Counter("server.ro_rejects"),
+		roStaleWaits:    r.Counter("server.ro_stale_waits"),
 	}
 }
 

@@ -320,6 +320,13 @@ func (c *Controller) observe(worker, progress int) {
 // (the caller responds with current parameters now) or buffers the request
 // as a DPR to be released by a later OnPush.
 func (c *Controller) OnPull(worker, progress int, token any) (ready bool) {
+	return c.OnPullLazy(worker, progress, func() any { return token })
+}
+
+// OnPullLazy is OnPull for callers whose token costs something to build:
+// token runs only when the pull is buffered as a DPR, so a pull answered
+// at once (every pull under ASP) never pays for one.
+func (c *Controller) OnPullLazy(worker, progress int, token func() any) (ready bool) {
 	c.observe(worker, progress)
 	c.stats.Pulls++
 	if c.model.Pull(c, worker, progress) {
@@ -332,7 +339,7 @@ func (c *Controller) OnPull(worker, progress int, token any) (ready bool) {
 	if c.drain == SoftBarrier {
 		idx = c.vtrain
 	}
-	c.buffer[idx] = append(c.buffer[idx], Pull{Worker: worker, Progress: progress, Token: token})
+	c.buffer[idx] = append(c.buffer[idx], Pull{Worker: worker, Progress: progress, Token: token()})
 	return false
 }
 

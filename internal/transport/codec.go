@@ -51,6 +51,12 @@ func Encode(buf []byte, m *Message) []byte {
 		copy(grown, buf)
 		buf = grown
 	}
+	return appendVals(appendHead(buf, m), m.Vals)
+}
+
+// appendHead appends everything of m's encoding that precedes the float
+// payload: the fixed header and the keys.
+func appendHead(buf []byte, m *Message) []byte {
 	buf = append(buf, byte(m.Type), byte(m.From.Role))
 	buf = binary.LittleEndian.AppendUint16(buf, m.From.Rank)
 	buf = append(buf, byte(m.To.Role))
@@ -63,7 +69,13 @@ func Encode(buf []byte, m *Message) []byte {
 	for _, k := range m.Keys {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(k))
 	}
-	for _, v := range m.Vals {
+	return buf
+}
+
+// appendVals appends the float payload: each value's IEEE-754 bits,
+// little-endian.
+func appendVals(buf []byte, vals []float64) []byte {
+	for _, v := range vals {
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 	}
 	return buf
@@ -87,74 +99,97 @@ func DecodeInto(m *Message, data []byte) error {
 	if len(data) < headerBytes {
 		return fmt.Errorf("transport: short message: %d bytes", len(data))
 	}
-	m.Type = MsgType(data[0])
-	m.From = NodeID{Role: Role(data[1]), Rank: binary.LittleEndian.Uint16(data[2:])}
-	m.To = NodeID{Role: Role(data[4]), Rank: binary.LittleEndian.Uint16(data[5:])}
-	m.Seq = binary.LittleEndian.Uint64(data[7:])
-	m.Progress = int32(binary.LittleEndian.Uint32(data[15:]))
-	m.View = binary.LittleEndian.Uint32(data[19:])
-	numKeys := binary.LittleEndian.Uint32(data[23:])
-	numVals := binary.LittleEndian.Uint32(data[27:])
-	want := headerBytes + 4*int(numKeys) + 8*int(numVals)
-	if len(data) != want {
-		return fmt.Errorf("transport: message length %d, want %d (keys=%d vals=%d)",
-			len(data), want, numKeys, numVals)
+	numKeys, numVals, err := decodeHeader(m, data, uint64(len(data)))
+	if err != nil {
+		return err
 	}
-	off := headerBytes
-	if numKeys == 0 {
-		// Keep nil slices nil so non-pooled decodes stay canonical.
-		if m.Keys != nil {
-			m.Keys = m.Keys[:0]
-		}
-	} else {
-		if cap(m.Keys) < int(numKeys) {
-			m.Keys = make([]keyrange.Key, numKeys)
-		} else {
-			m.Keys = m.Keys[:numKeys]
-		}
-		for i := range m.Keys {
-			m.Keys[i] = keyrange.Key(binary.LittleEndian.Uint32(data[off:]))
-			off += 4
-		}
-	}
-	if numVals == 0 {
-		if m.Vals != nil {
-			m.Vals = m.Vals[:0]
-		}
-	} else {
-		if cap(m.Vals) < int(numVals) {
-			m.Vals = make([]float64, numVals)
-		} else {
-			m.Vals = m.Vals[:numVals]
-		}
-		for i := range m.Vals {
-			m.Vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))
-			off += 8
-		}
-	}
+	m.Keys = resize(m.Keys, numKeys)
+	decodeKeys(m.Keys, data[headerBytes:])
+	m.Vals = resize(m.Vals, numVals)
+	decodeVals(m.Vals, data[headerBytes+4*numKeys:])
 	return nil
 }
+
+// decodeHeader parses the fixed header (the first headerBytes of hdr)
+// into m and returns the key and value counts. The counts are
+// attacker-controlled, so they are checked against the message length n
+// in 64-bit arithmetic before the caller sizes anything with them.
+func decodeHeader(m *Message, hdr []byte, n uint64) (numKeys, numVals int, err error) {
+	m.Type = MsgType(hdr[0])
+	m.From = NodeID{Role: Role(hdr[1]), Rank: binary.LittleEndian.Uint16(hdr[2:])}
+	m.To = NodeID{Role: Role(hdr[4]), Rank: binary.LittleEndian.Uint16(hdr[5:])}
+	m.Seq = binary.LittleEndian.Uint64(hdr[7:])
+	m.Progress = int32(binary.LittleEndian.Uint32(hdr[15:]))
+	m.View = binary.LittleEndian.Uint32(hdr[19:])
+	nk := binary.LittleEndian.Uint32(hdr[23:])
+	nv := binary.LittleEndian.Uint32(hdr[27:])
+	if want := headerBytes + 4*uint64(nk) + 8*uint64(nv); n != want {
+		return 0, 0, fmt.Errorf("transport: message length %d, want %d (keys=%d vals=%d)", n, want, nk, nv)
+	}
+	return int(nk), int(nv), nil
+}
+
+// resize returns s with n elements, reusing the backing array when it
+// has capacity. A nil slice stays nil at n = 0, so non-pooled decodes
+// stay canonical.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+func decodeKeys(keys []keyrange.Key, data []byte) {
+	for i := range keys {
+		keys[i] = keyrange.Key(binary.LittleEndian.Uint32(data[4*i:]))
+	}
+}
+
+func decodeVals(vals []float64, data []byte) {
+	for i := range vals {
+		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(data))
+		data = data[8:]
+	}
+}
+
+// Framing moves the float payload without a staging copy: WriteFrame
+// encodes only the length prefix, the header, and the keys into a small
+// pooled buffer and hands the memory of m.Vals to the writer; ReadFrame
+// reads the payload straight into the pooled message's Vals. On a
+// little-endian host the wire bytes of a []float64 are its memory
+// (vals_le.go); elsewhere a build constraint selects the portable
+// helpers below, which stage the payload through a frame buffer one
+// element at a time (vals_portable.go). Either way the bytes on the wire
+// are exactly len ‖ Encode(m).
+//
+// WriteFrame only reads m, and only until it returns — the ownership
+// rule of a copying Send (SendCopies) is unchanged: the sender must not
+// mutate m.Vals while Send runs, and may reuse m once it returns.
 
 // WriteFrame writes m to w with a uint32 length prefix. Messages larger
 // than MaxFrameBytes are rejected before a single byte is written: the
 // receive side enforces the same bound, so shipping an oversized frame
 // would poison the peer's stream mid-connection instead of failing the
 // one offending send.
+//
+// The frame leaves in two Writes (head, then payload). Callers that want
+// one segment per small frame wrap w in a bufio.Writer, as TCPEndpoint
+// does; a payload larger than the bufio buffer bypasses it.
 func WriteFrame(w io.Writer, m *Message) error {
 	n := EncodedSize(m)
 	if n > maxFrameBytes {
 		return fmt.Errorf("transport: message of %d bytes exceeds frame limit %d (keys=%d vals=%d)",
 			n, maxFrameBytes, len(m.Keys), len(m.Vals))
 	}
-	// Prefix and body share one pooled buffer and go out in a single
-	// Write: no per-frame allocation, and half the syscalls of the
-	// two-write version on unbuffered writers.
-	bp := getFrameBuf(4 + n)
-	buf := binary.LittleEndian.AppendUint32((*bp)[:0], uint32(n))
-	buf = Encode(buf, m)
-	_, err := w.Write(buf)
-	*bp = buf
+	bp := getFrameBuf(4 + headerBytes + 4*len(m.Keys))
+	head := binary.LittleEndian.AppendUint32((*bp)[:0], uint32(n))
+	head = appendHead(head, m)
+	_, err := w.Write(head)
+	*bp = head
 	putFrameBuf(bp)
+	if err == nil && len(m.Vals) > 0 {
+		err = writeVals(w, m.Vals)
+	}
 	if err != nil {
 		return fmt.Errorf("transport: write frame: %w", err)
 	}
@@ -168,30 +203,83 @@ func WriteFrame(w io.Writer, m *Message) error {
 // that finishes handling it should call ReleaseReceived to recycle it
 // (dropping it to the garbage collector is safe but wastes the pool).
 func ReadFrame(r io.Reader) (*Message, error) {
-	var lenbuf [4]byte
-	if _, err := io.ReadFull(r, lenbuf[:]); err != nil {
+	// Length, header, and keys go through a pooled scratch buffer: a
+	// local array handed to io.ReadFull would escape to the heap, one
+	// allocation per frame.
+	bp := getFrameBuf(4 + headerBytes)
+	defer putFrameBuf(bp)
+	lenbuf := (*bp)[:4]
+	if _, err := io.ReadFull(r, lenbuf); err != nil {
 		if err == io.EOF {
 			return nil, io.EOF
 		}
 		return nil, fmt.Errorf("transport: read frame length: %w", err)
 	}
-	n := binary.LittleEndian.Uint32(lenbuf[:])
+	n := binary.LittleEndian.Uint32(lenbuf)
 	if n < headerBytes || n > maxFrameBytes {
 		return nil, fmt.Errorf("transport: invalid frame length %d", n)
 	}
-	bp := getFrameBuf(int(n))
-	body := (*bp)[:n]
-	if _, err := io.ReadFull(r, body); err != nil {
-		putFrameBuf(bp)
-		return nil, fmt.Errorf("transport: read frame body: %w", err)
-	}
 	m := NewMessage()
-	err := DecodeInto(m, body)
-	putFrameBuf(bp)
-	if err != nil {
+	if err := readBody(r, m, bp, n); err != nil {
 		Release(m)
 		return nil, err
 	}
 	m.owner = ownerReceiver
 	return m, nil
+}
+
+// readBody reads the n-byte encoding of one message from r into m.
+func readBody(r io.Reader, m *Message, scratch *[]byte, n uint32) error {
+	hdr := (*scratch)[:headerBytes]
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		return fmt.Errorf("transport: read frame header: %w", err)
+	}
+	numKeys, numVals, err := decodeHeader(m, hdr, uint64(n))
+	if err != nil {
+		return err
+	}
+	m.Keys = resize(m.Keys, numKeys)
+	if numKeys > 0 {
+		if cap(*scratch) < 4*numKeys {
+			*scratch = make([]byte, 0, 4*numKeys)
+		}
+		raw := (*scratch)[:4*numKeys]
+		if _, err := io.ReadFull(r, raw); err != nil {
+			return fmt.Errorf("transport: read frame keys: %w", err)
+		}
+		decodeKeys(m.Keys, raw)
+	}
+	m.Vals = resize(m.Vals, numVals)
+	if numVals > 0 {
+		if err := readVals(r, m.Vals); err != nil {
+			return fmt.Errorf("transport: read frame payload: %w", err)
+		}
+	}
+	return nil
+}
+
+// writeValsPortable writes the wire encoding of vals (little-endian
+// IEEE-754 bits) to w through a pooled staging buffer. It is the payload
+// writer on hosts whose float64 memory is not already that encoding, and
+// the reference the tests hold the zero-copy writer to.
+func writeValsPortable(w io.Writer, vals []float64) error {
+	bp := getFrameBuf(8 * len(vals))
+	buf := appendVals((*bp)[:0], vals)
+	_, err := w.Write(buf)
+	*bp = buf
+	putFrameBuf(bp)
+	return err
+}
+
+// readValsPortable fills vals from their wire encoding on r; the
+// counterpart of writeValsPortable.
+func readValsPortable(r io.Reader, vals []float64) error {
+	bp := getFrameBuf(8 * len(vals))
+	defer putFrameBuf(bp)
+	buf := (*bp)[:8*len(vals)]
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return err
+	}
+	decodeVals(vals, buf)
+	return nil
 }

@@ -172,7 +172,7 @@ func TestCodecRoundTripProperty(t *testing.T) {
 // non-nil empty slices) make reflect.DeepEqual against a literal unusable.
 func sameMessage(a, b *Message) bool {
 	if a.Type != b.Type || a.From != b.From || a.To != b.To ||
-		a.Seq != b.Seq || a.Progress != b.Progress {
+		a.Seq != b.Seq || a.Progress != b.Progress || a.View != b.View {
 		return false
 	}
 	if len(a.Keys) != len(b.Keys) || len(a.Vals) != len(b.Vals) {
