@@ -416,8 +416,8 @@ func (s *Server) retainedToken(msg *transport.Message) pullToken {
 
 // flush applies the wave's dirty stripes, then executes the deferred
 // effects in control order, then releases the wave's messages. After the
-// completion barrier the shard is quiescent again, so the pull responses'
-// GatherShard calls run race-free on the control goroutine.
+// completion barrier the shard is quiescent again, so the pull responses
+// read the live segments race-free on the control goroutine.
 func (e *applyEngine) flush() error {
 	defer e.reset()
 	s := e.s

@@ -147,7 +147,7 @@ func (s *Server) handleStats(msg *transport.Message) error {
 		state.ModelMax = spec.Max
 		state.ModelC = spec.C
 	}
-	resp := transport.NewMessage()
+	resp := transport.NewSizedMessage(shardStateLen)
 	resp.Type = transport.MsgStatsResp
 	resp.To = msg.From
 	resp.Seq = msg.Seq

@@ -758,12 +758,16 @@ func (s *Server) respondPull(tok pullToken) error {
 	resp.To = tok.from
 	resp.Seq = tok.seq
 	resp.Keys = append(resp.Keys[:0], keys...)
-	vals, err := s.shard.GatherShard(resp.Vals[:0], keys)
+	// The response lends the shard's live segments instead of gathering a
+	// copy: this goroutine is the shard's only writer between waves, and
+	// SendOwned reads them before it returns (a copying transport writes
+	// them to the wire, any other gets a flattened copy).
+	segs, err := s.shard.LiveSegments(resp.Segs[:0], keys)
 	if err != nil {
 		transport.Release(resp)
 		return fmt.Errorf("core: server %d gather for %s: %w", s.cfg.Rank, tok.from, err)
 	}
-	resp.Vals = vals
+	resp.Segs = segs
 	if err := transport.SendOwned(s.ep, resp); err != nil {
 		return fmt.Errorf("core: server %d respond pull: %w", s.cfg.Rank, err)
 	}

@@ -14,10 +14,10 @@
 //   - ApplyGrad, ApplyBatch, Set, and Updates lock the key's stripe and
 //     may be called concurrently from any number of goroutines.
 //   - Structural and bulk operations — AddKey, RemoveKey, Keys, Segment,
-//     ReadInto, GatherShard, Save, Dim — require quiescence: no concurrent
-//     appliers. The server guarantees this by draining its apply workers
-//     (a completion-channel barrier) before gathering, checkpointing, or
-//     rebalancing.
+//     ReadInto, GatherShard, LiveSegments, Save, Dim — require
+//     quiescence: no concurrent appliers. The server guarantees this by
+//     draining its apply workers (a completion-channel barrier) before
+//     gathering, checkpointing, or rebalancing.
 //
 // Gather and Scatter convert between a worker's flat model vector and the
 // concatenated per-key payloads that travel in push/pull messages.
@@ -358,6 +358,24 @@ func (s *Shard) GatherShard(dst []float64, keys []keyrange.Key) ([]float64, erro
 			return nil, unknownKey("gather", k)
 		}
 		dst = append(dst, seg...)
+	}
+	return dst, nil
+}
+
+// LiveSegments appends the shard's live segments for keys (in the given
+// order) to dst: the storage itself, not a copy — what lets a pull
+// response go out straight from the stripes. It validates exactly like
+// GatherShard and has the same quiescence contract, which must hold for
+// as long as the result is read: the only sanctioned use (segcheck) is to
+// lend the result as the Segs of a message handed to a synchronous
+// transport.SendOwned by the shard's only writer.
+func (s *Shard) LiveSegments(dst [][]float64, keys []keyrange.Key) ([][]float64, error) {
+	for _, k := range keys {
+		seg, ok := s.stripeFor(k).data[k]
+		if !ok {
+			return nil, unknownKey("gather", k)
+		}
+		dst = append(dst, seg)
 	}
 	return dst, nil
 }

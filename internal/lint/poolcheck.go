@@ -9,9 +9,9 @@ import (
 // poolcheck enforces the transport message-pool ownership discipline
 // (transport/pool.go):
 //
-//   - a message obtained from transport.NewMessage must reach exactly one
-//     of transport.Release / transport.SendOwned on every path (or
-//     provably escape to another owner);
+//   - a message obtained from transport.NewMessage (or NewSizedMessage)
+//     must reach exactly one of transport.Release / transport.SendOwned
+//     on every path (or provably escape to another owner);
 //   - a message obtained from Endpoint.Recv or transport.Decode must
 //     reach transport.ReleaseReceived (or escape);
 //   - no use of a message after it was released or handed to SendOwned;

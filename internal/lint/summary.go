@@ -185,10 +185,12 @@ func transportReleaseCall(info *types.Info, call *ast.CallExpr) (kind string, ar
 }
 
 // msgOriginOfCall classifies call as producing a pooled message:
-// transport.NewMessage, transport.Decode, an Endpoint-shaped Recv, or a
-// module helper whose summary says it returns one.
+// transport.NewMessage or its sized form NewSizedMessage,
+// transport.Decode, an Endpoint-shaped Recv, or a module helper whose
+// summary says it returns one.
 func msgOriginOfCall(info *types.Info, prog *Program, call *ast.CallExpr) (poolOrigin, bool) {
-	if isPkgCall(info, call, "internal/transport", "NewMessage") {
+	if isPkgCall(info, call, "internal/transport", "NewMessage") ||
+		isPkgCall(info, call, "internal/transport", "NewSizedMessage") {
 		return originNew, true
 	}
 	if isPkgCall(info, call, "internal/transport", "Decode") {

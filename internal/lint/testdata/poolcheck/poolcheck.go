@@ -15,6 +15,19 @@ func leakNew() {
 	m.Seq = 7
 }
 
+// The sized constructor is a NewMessage like any other: same debt.
+func leakSized() {
+	m := transport.NewSizedMessage(16) // want "pooled message "m" from transport.NewMessage is never released"
+	m.Vals = append(m.Vals[:0], 1, 2)
+}
+
+// sizedSendOwned pays it. No diagnostic.
+func sizedSendOwned() {
+	m := transport.NewSizedMessage(2)
+	m.Vals = append(m.Vals[:0], 1, 2)
+	_ = transport.SendOwned(ep, m)
+}
+
 func leakRecv() {
 	m, err := ep.Recv() // want "received message "m" is never released"
 	if err != nil {

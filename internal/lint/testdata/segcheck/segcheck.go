@@ -4,7 +4,9 @@
 package fixture
 
 import (
+	"github.com/fluentps/fluentps/internal/keyrange"
 	"github.com/fluentps/fluentps/internal/kvstore"
+	"github.com/fluentps/fluentps/internal/transport"
 )
 
 // Holding Segment's return value outside kvstore aliases storage the
@@ -45,6 +47,27 @@ func cleanSnapshot(s *kvstore.Shard) []float64 {
 		return v
 	}
 	return sn.Flat()
+}
+
+// Clean: the one sanctioned LiveSegments borrow — the result becomes the
+// Segs of a message the same function hands to SendOwned, which reads
+// them before it returns.
+func lendToSendOwned(s *kvstore.Shard, ep transport.Endpoint, keys []keyrange.Key) error {
+	m := transport.NewMessage()
+	segs, err := s.LiveSegments(m.Segs[:0], keys)
+	if err != nil {
+		transport.Release(m)
+		return err
+	}
+	m.Segs = segs
+	return transport.SendOwned(ep, m)
+}
+
+// Keeping the live segments past the call is the race segcheck exists
+// to stop.
+func keepLive(s *kvstore.Shard, keys []keyrange.Key) [][]float64 {
+	segs, _ := s.LiveSegments(nil, keys) // want "LiveSegments result must become the Segs of a message passed to transport.SendOwned"
+	return segs
 }
 
 // An unrelated type's Segment method is not segcheck's business.

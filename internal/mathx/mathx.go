@@ -28,7 +28,8 @@ func Sigmoid(x float64) float64 {
 
 // Softmax writes the softmax of logits into out (which must have the same
 // length) and returns out. It subtracts the maximum logit before
-// exponentiating so the result is stable for large logits.
+// exponentiating so the result is stable for large logits. out may alias
+// logits: each logit is read before its slot is written.
 func Softmax(logits, out []float64) []float64 {
 	if len(out) != len(logits) {
 		panic(fmt.Sprintf("mathx: softmax length mismatch %d != %d", len(out), len(logits)))

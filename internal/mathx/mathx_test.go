@@ -65,6 +65,19 @@ func TestSoftmaxSumsToOne(t *testing.T) {
 	}
 }
 
+// TestSoftmaxInPlace: out may alias logits (mlmodel computes the softmax
+// in its logits buffer), with results bit-identical to a separate out.
+func TestSoftmaxInPlace(t *testing.T) {
+	logits := []float64{0.3, -2.5, 7.25, 1e-3, 7.25, -40}
+	want := Softmax(logits, make([]float64, len(logits)))
+	got := Softmax(logits, logits)
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("in-place softmax[%d] = %v, want %v", i, got[i], want[i])
+		}
+	}
+}
+
 func TestSoftmaxStableForHugeLogits(t *testing.T) {
 	logits := []float64{1000, 1001, 999}
 	out := make([]float64, 3)

@@ -161,12 +161,13 @@ func (m *Softmax) Gradient(params []float64, x [][]float64, y []int, grad []floa
 	for i := range grad {
 		grad[i] = 0
 	}
-	logits := make([]float64, m.classes)
+	// One buffer holds the logits and then, in place, their softmax:
+	// mathx.Softmax reads each logit before it writes that slot.
 	probs := make([]float64, m.classes)
 	var loss float64
 	for i, xi := range x {
-		m.logits(params, xi, logits)
-		mathx.Softmax(logits, probs)
+		m.logits(params, xi, probs)
+		mathx.Softmax(probs, probs)
 		loss += -math.Log(math.Max(probs[y[i]], 1e-12))
 		for c := 0; c < m.classes; c++ {
 			g := probs[c]
@@ -185,12 +186,11 @@ func (m *Softmax) Gradient(params []float64, x [][]float64, y []int, grad []floa
 
 // Evaluate implements Model.
 func (m *Softmax) Evaluate(params []float64, ds *dataset.Dataset) (loss, acc float64) {
-	logits := make([]float64, m.classes)
-	probs := make([]float64, m.classes)
+	probs := make([]float64, m.classes) // logits, then their softmax in place
 	correct := 0
 	for i, xi := range ds.X {
-		m.logits(params, xi, logits)
-		mathx.Softmax(logits, probs)
+		m.logits(params, xi, probs)
+		mathx.Softmax(probs, probs)
 		loss += -math.Log(math.Max(probs[ds.Y[i]], 1e-12))
 		if mathx.ArgMax(probs) == ds.Y[i] {
 			correct++

@@ -385,7 +385,12 @@ func (s *MuxSession) dispatchFrame(id uint32, kind uint8, payload []byte) bool {
 		if st == nil {
 			return true // stream already closed; drop quietly
 		}
-		m := NewMessage()
+		n, err := declaredVals(payload)
+		if err != nil {
+			s.fail(fmt.Errorf("transport: mux decode: %w", err))
+			return false
+		}
+		m := NewSizedMessage(n)
 		if err := DecodeInto(m, payload); err != nil {
 			Release(m)
 			s.fail(fmt.Errorf("transport: mux decode: %w", err))

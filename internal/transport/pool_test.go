@@ -231,3 +231,143 @@ func BenchmarkWriteFrame(b *testing.B) {
 		}
 	}
 }
+
+// TestSizedPoolClasses: a sized get never regrows — its Vals holds the n
+// values asked for — and a recycled message only serves the requests its
+// size class can hold, so a payload array never grows after it reached
+// its class. The class arithmetic is checked exhaustively for small
+// sizes and at the powers of two around the 1 MiB pull response; the
+// pool itself is exercised for the same sizes.
+func TestSizedPoolClasses(t *testing.T) {
+	sizes := []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 100, 128, 129, 4095, 4096, 4097, 1<<17 - 1, 1 << 17, 1<<17 + 1}
+	for n := 0; n <= 1100; n++ {
+		sizes = append(sizes, n)
+	}
+	for _, n := range sizes {
+		c := needClass(n)
+		floor := 0
+		if c > 0 {
+			floor = 1 << (c - 1)
+		}
+		if floor < n {
+			t.Fatalf("n=%d: class %d allocates %d values on a miss", n, c, floor)
+		}
+		if holdClass(floor) != c {
+			t.Fatalf("n=%d: a miss-allocated message (cap %d) files under class %d, not its own %d", n, floor, holdClass(floor), c)
+		}
+		for _, capacity := range sizes {
+			if holdClass(capacity) == c && capacity < n {
+				t.Fatalf("class %d holds cap %d but serves requests for %d values", c, capacity, n)
+			}
+		}
+		m := NewSizedMessage(n)
+		if cap(m.Vals) < n || len(m.Vals) != 0 || len(m.Keys) != 0 || len(m.Segs) != 0 {
+			t.Fatalf("NewSizedMessage(%d): len %d cap %d, keys %d, segs %d", n, len(m.Vals), cap(m.Vals), len(m.Keys), len(m.Segs))
+		}
+		backing := cap(m.Vals)
+		m.Vals = append(m.Vals, make([]float64, n)...)
+		if cap(m.Vals) != backing {
+			t.Fatalf("NewSizedMessage(%d) regrew on filling: cap %d → %d", n, backing, cap(m.Vals))
+		}
+		Release(m)
+	}
+	// A message whose Vals grew to an odd capacity files under the class
+	// its capacity guarantees, never one that promises more.
+	odd := NewMessage()
+	odd.Vals = make([]float64, 0, 100)
+	Release(odd)
+	for i := 0; i < 8; i++ {
+		m := NewSizedMessage(100)
+		if cap(m.Vals) < 100 {
+			t.Fatalf("NewSizedMessage(100) returned cap %d", cap(m.Vals))
+		}
+		Release(m)
+	}
+}
+
+// TestRecycleDropsBorrowedSegments: a pooled message must not pin the
+// memory its segments borrowed once it is back in the pool.
+func TestRecycleDropsBorrowedSegments(t *testing.T) {
+	m := NewMessage()
+	lent := make([]float64, 8)
+	m.Segs = append(m.Segs, lent, lent[:4])
+	segs := m.Segs[:2]
+	Release(m)
+	if segs[0] != nil || segs[1] != nil {
+		t.Fatal("recycled message still references its borrowed segments")
+	}
+}
+
+// TestPointerTransportsFlattenSegments: a message whose payload is lent
+// in Segs outlives its Send on a pointer-delivering transport, so
+// SendOwned, SendRetained and Clone hand over a flattened copy; the
+// lender may overwrite its segments as soon as the call returns.
+func TestPointerTransportsFlattenSegments(t *testing.T) {
+	net := NewChanNetwork(4)
+	a := net.Endpoint(Worker(0))
+	b := net.Endpoint(Server(0))
+	defer a.Close()
+	defer b.Close()
+	lent := []float64{1, 2, 3, 4, 5}
+	build := func() *Message {
+		m := NewMessage()
+		m.Type, m.To, m.Seq = MsgPush, Server(0), 11
+		m.Keys = append(m.Keys[:0], 0, 1)
+		m.Vals = append(m.Vals[:0], 0.5)
+		m.Segs = append(m.Segs, lent[:2], lent[2:])
+		return m
+	}
+	want := []float64{0.5, 1, 2, 3, 4, 5}
+	check := func(how string, got *Message) {
+		t.Helper()
+		if got.Seq != 11 || len(got.Keys) != 2 || len(got.Segs) != 0 || len(got.Vals) != len(want) {
+			t.Fatalf("%s: got seq %d, %d keys, %d vals in %d segments", how, got.Seq, len(got.Keys), len(got.Vals), len(got.Segs))
+		}
+		for i, v := range want {
+			if got.Vals[i] != v {
+				t.Fatalf("%s: value %d is %v, want %v", how, i, got.Vals[i], v)
+			}
+		}
+	}
+	scribble := func() {
+		for i := range lent {
+			lent[i] = -1
+		}
+	}
+	reset := func() { copy(lent, want[1:]) }
+
+	if err := SendOwned(a, build()); err != nil {
+		t.Fatal(err)
+	}
+	scribble()
+	got, err := b.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("SendOwned", got)
+	if !got.ReceiverOwned() {
+		t.Fatal("SendOwned over chan must transfer ownership of the flattened copy")
+	}
+	ReleaseReceived(got)
+
+	reset()
+	m := build()
+	if err := SendRetained(a, m); err != nil {
+		t.Fatal(err)
+	}
+	scribble()
+	got, err = b.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("SendRetained", got)
+	ReleaseReceived(got)
+	Release(m)
+
+	reset()
+	m = build()
+	c := m.Clone()
+	Release(m)
+	scribble()
+	check("Clone", c)
+}
