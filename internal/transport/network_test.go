@@ -1,7 +1,9 @@
 package transport
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -144,7 +146,7 @@ func TestChanNetworkConcurrentSenders(t *testing.T) {
 }
 
 // startTCPPair wires two TCP endpoints with each other's addresses.
-func startTCPPair(t *testing.T) (a, b *TCPEndpoint) {
+func startTCPPair(t testing.TB) (a, b *TCPEndpoint) {
 	t.Helper()
 	var err error
 	a, err = ListenTCP(Worker(0), "127.0.0.1:0", nil)
@@ -403,5 +405,146 @@ func TestTCPSendZeroRetries(t *testing.T) {
 	}
 	if d := time.Since(start); d > time.Second {
 		t.Fatalf("zero-retry send took %v, want immediate failure", d)
+	}
+}
+
+// stalledPeer listens on loopback and accepts connections it never reads
+// from: a peer whose receive window closes, so a large frame written to it
+// blocks inside the kernel. Accepted connections arrive on the channel.
+func stalledPeer(t *testing.T) (addr string, accepted <-chan net.Conn) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	conns := make(chan net.Conn, 4)
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			conns <- c
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		for {
+			select {
+			case c := <-conns:
+				c.Close()
+			default:
+				return
+			}
+		}
+	})
+	return ln.Addr().String(), conns
+}
+
+// TestTCPAbortCutsStalledWrite: Abort tears down a frame write blocked on
+// a peer that stopped reading — the Send fails with ErrAborted at once
+// and the peer sees the stream end mid-frame — and a message aborted
+// before its Send is never written at all.
+func TestTCPAbortCutsStalledWrite(t *testing.T) {
+	addr, accepted := stalledPeer(t)
+	e, err := ListenTCP(Worker(0), "127.0.0.1:0", map[NodeID]string{Server(0): addr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	// 16 MiB: more than the socket buffers of a loopback pair hold when
+	// the receiver never reads.
+	payload := make([]float64, 2<<20)
+	m := &Message{Type: MsgPush, To: Server(0), Keys: []keyrange.Key{0, 1},
+		Segs: [][]float64{payload[:1<<20], payload[1<<20:]}}
+	frame := int64(4 + EncodedSize(m))
+	sent := make(chan error, 1)
+	go func() { sent <- e.Send(m) }()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		e.lentMu.Lock()
+		writing := len(e.lent)
+		e.lentMu.Unlock()
+		if writing > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the frame write never started")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case err := <-sent:
+		t.Fatalf("Send to a peer that never reads returned %v; the frame should not fit its buffers", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	if e.Abort(m) {
+		t.Fatal("Abort reported the segments free while their frame was mid-write")
+	}
+	select {
+	case err := <-sent:
+		if !errors.Is(err, ErrAborted) {
+			t.Fatalf("aborted Send returned %v, want ErrAborted", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Abort did not cut the stalled write short")
+	}
+	peer := <-accepted
+	peer.SetReadDeadline(time.Now().Add(10 * time.Second))
+	n, err := io.Copy(io.Discard, peer)
+	if err != nil {
+		t.Fatalf("reading the cut stream: %v", err)
+	}
+	if n >= frame {
+		t.Fatalf("the peer read %d bytes, the whole %d-byte frame: the write was not cut", n, frame)
+	}
+
+	// Aborted before its Send: nothing is written, not even a dial.
+	early := &Message{Type: MsgPush, To: Server(0), Keys: []keyrange.Key{0}, Segs: [][]float64{payload[:8]}}
+	if !e.Abort(early) {
+		t.Fatal("Abort of a message nobody is writing must report it free")
+	}
+	if err := e.Send(early); !errors.Is(err, ErrAborted) {
+		t.Fatalf("Send of an aborted message returned %v, want ErrAborted", err)
+	}
+	select {
+	case <-accepted:
+		t.Fatal("Send of an aborted message dialed the peer")
+	case <-time.After(50 * time.Millisecond):
+	}
+}
+
+// BenchmarkTCPEcho1MiB is one ping-pong of a 1 MiB push between two
+// TCPEndpoints on loopback: the per-frame latency of the write and read
+// paths for the large-frame shape, which a server's pull response and a
+// worker's push both take.
+func BenchmarkTCPEcho1MiB(b *testing.B) {
+	a, srv := startTCPPair(b)
+	go func() {
+		for {
+			m, err := srv.Recv()
+			if err != nil {
+				return
+			}
+			m.From, m.To = NodeID{}, m.From
+			err = srv.Send(m)
+			ReleaseReceived(m)
+			if err != nil {
+				return
+			}
+		}
+	}()
+	m := &Message{Type: MsgPush, To: Server(0), Keys: []keyrange.Key{0}, Vals: make([]float64, 1<<17)}
+	b.SetBytes(2 * 8 << 17)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := a.Send(m); err != nil {
+			b.Fatal(err)
+		}
+		back, err := a.Recv()
+		if err != nil {
+			b.Fatal(err)
+		}
+		ReleaseReceived(back)
 	}
 }
